@@ -20,12 +20,13 @@
 // same regime as the paper-scale defaults.
 //
 // The JSON report goes to --out (default BENCH_scale.json). With --baseline
-// PATH the run compares its events/sec against the committed baseline and
-// exits 1 if any section regressed by more than --max-regress (default
-// 0.25) — the CI scale gate. With --prev PATH (a report produced by this
-// same harness on an older build) the full section embeds that run's
-// events/sec and the resulting speedup, recording pre/post comparisons
-// measured by the same harness on the same hardware.
+// PATH the run compares its events/sec and peak RSS against the committed
+// baseline and exits 1 if any section's events/sec fell, or its peak RSS
+// grew, by more than --max-regress (default 0.25) — the CI scale gate.
+// With --prev PATH (a report produced by this same harness on an older
+// build) the full section embeds that run's events/sec, wall time and peak
+// RSS and the resulting speedup, recording pre/post comparisons measured by
+// the same harness on the same hardware.
 //
 // Usage: scale_regression [--quick] [--out PATH] [--baseline PATH]
 //        [--max-regress X] [--prev PATH] [--seed N]
@@ -178,11 +179,12 @@ int main(int argc, char** argv) {
     std::cout << "scale_regression - 10k-slave cluster macro perf harness\n"
                  "  --quick            2k-slave case only (CI-sized)\n"
                  "  --out PATH         JSON report path [BENCH_scale.json]\n"
-                 "  --baseline PATH    compare events/sec against a committed\n"
-                 "                     report; exit 1 on regression\n"
+                 "  --baseline PATH    compare events/sec and peak RSS against\n"
+                 "                     a committed report; exit 1 on regression\n"
                  "  --max-regress X    allowed fractional regression [0.25]\n"
                  "  --prev PATH        embed a prior report's full-case\n"
-                 "                     events/sec + the speedup over it\n"
+                 "                     events/sec, wall time and peak RSS +\n"
+                 "                     the speedup over it\n"
                  "  --seed N           arrival/placement seed [1]\n";
     return 0;
   }
@@ -210,6 +212,8 @@ int main(int argc, char** argv) {
   if (!quick) full_result = run_case(full_case, seed);
 
   double prev_full_rate = 0.0;
+  double prev_full_wall = 0.0;
+  double prev_full_rss = 0.0;
   if (prev_path) {
     std::string prev;
     if (!read_file(*prev_path, prev)) {
@@ -219,6 +223,8 @@ int main(int argc, char** argv) {
     if (prev_full_rate <= 0.0) {
       return usage_error("prev report has no scale_full events_per_sec");
     }
+    prev_full_wall = extract_number(prev, "scale_full", "wall_seconds");
+    prev_full_rss = extract_number(prev, "scale_full", "peak_rss_mb");
   }
 
   std::ostringstream json;
@@ -234,6 +240,8 @@ int main(int argc, char** argv) {
     if (prev_full_rate > 0.0) {
       json << ",\n"
            << "    \"baseline_events_per_sec\": " << prev_full_rate << ",\n"
+           << "    \"baseline_wall_seconds\": " << prev_full_wall << ",\n"
+           << "    \"baseline_peak_rss_mb\": " << prev_full_rss << ",\n"
            << "    \"speedup_vs_baseline\": "
            << full_result.events_per_sec / prev_full_rate;
     }
@@ -253,24 +261,31 @@ int main(int argc, char** argv) {
       return usage_error("cannot read baseline " + *baseline_path);
     }
     bool failed = false;
-    const auto gate = [&](const std::string& section, double current) {
-      const double ref = extract_number(base, section, "events_per_sec");
+    // Throughput may fall, and peak RSS grow, by at most max_regress.
+    const auto check = [&](const std::string& section, const std::string& key,
+                           double current, bool higher_is_better) {
+      const double ref = extract_number(base, section, key);
       if (ref <= 0.0) {
-        std::cerr << "baseline: no " << section << " events_per_sec; skipped\n";
+        std::cerr << "baseline: no " << section << " " << key << "; skipped\n";
         return;
       }
-      const double floor = ref * (1.0 - max_regress);
-      std::cerr << "baseline " << section << ": " << std::fixed
-                << std::setprecision(0) << current << " vs " << ref
-                << " (floor " << floor << ")\n";
-      if (current < floor) {
-        std::cerr << "FAIL: " << section << " events/sec regressed more than "
+      const double bound =
+          ref * (higher_is_better ? 1.0 - max_regress : 1.0 + max_regress);
+      std::cerr << "baseline " << section << " " << key << ": " << std::fixed
+                << std::setprecision(1) << current << " vs " << ref
+                << " (bound " << bound << ")\n";
+      if (higher_is_better ? current < bound : current > bound) {
+        std::cerr << "FAIL: " << section << " " << key << " regressed more than "
                   << max_regress * 100.0 << "%\n";
         failed = true;
       }
     };
-    gate("scale_quick", quick_result.events_per_sec);
-    if (!quick) gate("scale_full", full_result.events_per_sec);
+    const auto gate = [&](const std::string& section, const CaseResult& r) {
+      check(section, "events_per_sec", r.events_per_sec, true);
+      check(section, "peak_rss_mb", r.peak_rss_mb, false);
+    };
+    gate("scale_quick", quick_result);
+    if (!quick) gate("scale_full", full_result);
     if (failed) return 1;
     std::cerr << "baseline check passed\n";
   }

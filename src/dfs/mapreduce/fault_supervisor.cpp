@@ -207,7 +207,7 @@ void FaultSupervisor::requeue_map_task(JobState& j, int map_idx) {
   // skips them before rack maintenance); rebuild it from the live locations.
   t.location_racks.clear();
   for (const NodeId loc : t.locations) {
-    j.pending_by_node[static_cast<std::size_t>(loc)].repush(map_idx);
+    j.pending_by_node.repush(loc, map_idx);
     const RackId rack = s_.cfg.topology.rack_of(loc);
     if (std::find(t.location_racks.begin(), t.location_racks.end(), rack) ==
         t.location_racks.end()) {

@@ -45,7 +45,7 @@ void MapPhase::activate_job(JobState& j) {
       continue;
     }
     for (const NodeId loc : t.locations) {
-      j.pending_by_node[static_cast<std::size_t>(loc)].repush(i);
+      j.pending_by_node.repush(loc, i);
       const RackId rack = s_.cfg.topology.rack_of(loc);
       if (std::find(t.location_racks.begin(), t.location_racks.end(), rack) ==
           t.location_racks.end()) {
@@ -75,8 +75,7 @@ void MapPhase::reclassify_after_failure(JobState& j, NodeId node) {
       if (t.locations.empty()) t.lost = true;
       continue;
     }
-    j.pending_by_node[static_cast<std::size_t>(node)].invalidate(
-        static_cast<int>(i));
+    j.pending_by_node.invalidate(node, static_cast<int>(i));
     const RackId rack = s_.cfg.topology.rack_of(node);
     bool rack_still_has_copy = false;
     for (const NodeId loc : t.locations) {
@@ -148,8 +147,7 @@ void MapPhase::reclassify_after_repair(JobState& j, NodeId node) {
       --j.total_md;
     }
     t.locations.push_back(node);
-    j.pending_by_node[static_cast<std::size_t>(node)].repush(
-        static_cast<int>(i));
+    j.pending_by_node.repush(node, static_cast<int>(i));
     const RackId rack = s_.cfg.topology.rack_of(node);
     if (std::find(t.location_racks.begin(), t.location_racks.end(), rack) ==
         t.location_racks.end()) {
@@ -165,8 +163,7 @@ int MapPhase::pop_pending(JobState& j, NodeId node) {
   // Entries whose task was assigned through another replica's queue, or
   // whose copy on this node was lost mid-run, were invalidated at that
   // moment; pop() skips them.
-  const std::optional<int> map_idx =
-      j.pending_by_node[static_cast<std::size_t>(node)].pop();
+  const std::optional<int> map_idx = j.pending_by_node.pop(node);
   return map_idx ? *map_idx : -1;
 }
 
@@ -177,7 +174,7 @@ void MapPhase::retire_pending(JobState& j, int map_idx) {
   // Queue entries elsewhere become stale; the queue the task was popped from
   // already consumed its entry, so the invalidate is a no-op there.
   for (const NodeId loc : t.locations) {
-    j.pending_by_node[static_cast<std::size_t>(loc)].invalidate(map_idx);
+    j.pending_by_node.invalidate(loc, map_idx);
   }
   for (const RackId rack : t.location_racks) {
     --j.pending_by_rack[static_cast<std::size_t>(rack)];
@@ -187,7 +184,7 @@ void MapPhase::retire_pending(JobState& j, int map_idx) {
 
 void MapPhase::assign_local(core::JobId id, NodeId s) {
   JobState& j = s_.job(id);
-  if (j.pending_by_node[static_cast<std::size_t>(s)].live_count() > 0) {
+  if (j.pending_by_node.live_count(s) > 0) {
     const int map_idx = pop_pending(j, s);
     assert(map_idx >= 0);
     retire_pending(j, map_idx);
@@ -199,8 +196,7 @@ void MapPhase::assign_local(core::JobId id, NodeId s) {
   long best_len = 0;
   for (NodeId peer :
        s_.cfg.topology.nodes_in_rack(s_.cfg.topology.rack_of(s))) {
-    const long len =
-        j.pending_by_node[static_cast<std::size_t>(peer)].live_count();
+    const long len = j.pending_by_node.live_count(peer);
     if (len > best_len) {
       best_len = len;
       best = peer;
@@ -215,18 +211,9 @@ void MapPhase::assign_local(core::JobId id, NodeId s) {
 
 void MapPhase::assign_remote(core::JobId id, NodeId s) {
   JobState& j = s_.job(id);
-  const RackId my_rack = s_.cfg.topology.rack_of(s);
-  NodeId best = -1;
-  long best_len = 0;
-  for (NodeId peer = 0; peer < s_.cfg.topology.num_nodes(); ++peer) {
-    if (s_.cfg.topology.rack_of(peer) == my_rack) continue;
-    const long len =
-        j.pending_by_node[static_cast<std::size_t>(peer)].live_count();
-    if (len > best_len) {
-      best_len = len;
-      best = peer;
-    }
-  }
+  // The largest backlog outside this rack, lowest node id on ties.
+  const NodeId best = j.pending_by_node.most_loaded_outside(
+      s_.cfg.topology.rack_of(s), s_.cfg.topology);
   if (best < 0) throw std::logic_error("assign_remote without a remote task");
   const int map_idx = pop_pending(j, best);
   assert(map_idx >= 0);

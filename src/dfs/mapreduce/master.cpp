@@ -66,8 +66,7 @@ void Master::submit(const JobInput& input) {
   j.metrics.id = j.spec.id;
   j.metrics.tenant = j.spec.tenant;
   j.metrics.submit_time = j.spec.submit_time;
-  j.pending_by_node.resize(
-      static_cast<std::size_t>(state_.cfg.topology.num_nodes()));
+  j.pending_by_node = PendingPool(state_.cfg.topology.num_nodes());
   j.pending_by_rack.assign(
       static_cast<std::size_t>(state_.cfg.topology.num_racks()), 0);
   j.reduces.resize(static_cast<std::size_t>(j.spec.num_reducers));
@@ -188,7 +187,7 @@ int Master::free_map_slots(NodeId s) const {
 
 bool Master::has_unassigned_local(core::JobId id, NodeId s) const {
   const JobState& j = state_.job(id);
-  if (j.pending_by_node[static_cast<std::size_t>(s)].live_count() > 0) {
+  if (j.pending_by_node.live_count(s) > 0) {
     return true;
   }
   return j.pending_by_rack[static_cast<std::size_t>(
@@ -267,8 +266,7 @@ util::Seconds Master::local_work_seconds(NodeId s) const {
   double work = 0.0;
   for (const core::JobId id : state_.active_jobs) {
     const JobState& j = state_.job(id);
-    work += static_cast<double>(
-                j.pending_by_node[static_cast<std::size_t>(s)].live_count()) *
+    work += static_cast<double>(j.pending_by_node.live_count(s)) *
             j.spec.map_time.mean;
   }
   return work * state_.cfg.time_scale(s);

@@ -12,6 +12,7 @@
 #include "dfs/mapreduce/config.h"
 #include "dfs/mapreduce/fetch_supervisor.h"
 #include "dfs/mapreduce/metrics.h"
+#include "dfs/mapreduce/pending_pool.h"
 #include "dfs/net/network.h"
 #include "dfs/sim/simulator.h"
 #include "dfs/storage/degraded.h"
@@ -186,12 +187,8 @@ struct JobState {
   bool finished = false;
 
   std::vector<MapTaskState> maps;
-  /// Per-node pools of pending map-task indices; a task appears in the pool
-  /// of every node holding a readable copy. Assignment elsewhere (or losing
-  /// this node's copy) invalidates the entry in O(1); re-entry repushes so
-  /// a surviving entry keeps its queue position (predicate semantics — see
-  /// util::StaleQueue). `live_count()` is the exact pending count per node.
-  std::vector<util::StaleQueue<int>> pending_by_node;
+  /// Per-node pools of pending map-task indices (see PendingPool).
+  PendingPool pending_by_node;
   std::vector<int> pending_by_rack;  ///< pending tasks with a copy in rack
   /// Pool of degraded pending map tasks, generation-tagged: a task that
   /// left the pool (repair) and re-entered (new failure) joins at the back
@@ -225,11 +222,14 @@ struct JobState {
   /// without this the master's footprint grows with jobs *submitted* instead
   /// of jobs *in flight*. Task/attempt state (maps, reduces) stays: late
   /// events of losing speculative attempts still look it up.
+  ///
+  /// Each member is replaced by a fresh object: on a std::vector, `v = {}`
+  /// picks the initializer_list assignment, which keeps the capacity.
   void release_scheduling_state() {
-    pending_by_node = {};
-    pending_by_rack = {};
-    pending_degraded = {};
-    completed_map_records = {};
+    pending_by_node = PendingPool();
+    pending_by_rack = std::vector<int>();
+    pending_degraded = util::StaleQueue<int>();
+    completed_map_records = std::vector<int>();
     planner.reset();
   }
 };

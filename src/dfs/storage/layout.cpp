@@ -6,7 +6,80 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "dfs/util/id_bitset.h"
+
 namespace dfs::storage {
+
+namespace bits = util::bits;
+
+namespace {
+
+/// Throws std::invalid_argument unless the file splits into whole stripes
+/// and the racks can hold n blocks with at most n-k per rack.
+void require_rack_rule_feasible(int num_native_blocks, int n, int k,
+                                const net::Topology& topo) {
+  if (num_native_blocks % k != 0) {
+    throw std::invalid_argument("native block count must be a multiple of k");
+  }
+  const int max_per_rack = n - k;
+  int feasible = 0;
+  for (RackId r = 0; r < topo.num_racks(); ++r) {
+    feasible += std::min(static_cast<int>(topo.nodes_in_rack(r).size()),
+                         max_per_rack);
+  }
+  if (feasible < n) {
+    throw std::invalid_argument(
+        "topology cannot satisfy the rack placement rule for this (n,k)");
+  }
+}
+
+/// Nodes bucketed by placement load: level L is the bitset of nodes that
+/// currently store L blocks of the file being placed.
+class LoadLevels {
+ public:
+  explicit LoadLevels(int num_nodes)
+      : words_(bits::words_for(num_nodes)),
+        load_(static_cast<std::size_t>(num_nodes), 0),
+        levels_(words_, 0),
+        level_size_(1, num_nodes) {
+    for (NodeId node = 0; node < num_nodes; ++node) {
+      bits::set(levels_.data(), node);
+    }
+  }
+
+  std::size_t words() const { return words_; }
+  int num_levels() const { return static_cast<int>(level_size_.size()); }
+  /// Lowest level with a member.
+  int lowest() const { return lowest_; }
+  /// Level l's words; valid until the next raise() grows the level array.
+  const bits::Word* level(int l) const {
+    return levels_.data() + static_cast<std::size_t>(l) * words_;
+  }
+
+  /// One more block on `node`.
+  void raise(NodeId node) {
+    int& l = load_[static_cast<std::size_t>(node)];
+    bits::clear(levels_.data() + static_cast<std::size_t>(l) * words_, node);
+    --level_size_[static_cast<std::size_t>(l)];
+    ++l;
+    if (static_cast<std::size_t>(l) == level_size_.size()) {
+      levels_.resize(levels_.size() + words_, 0);
+      level_size_.push_back(0);
+    }
+    bits::set(levels_.data() + static_cast<std::size_t>(l) * words_, node);
+    ++level_size_[static_cast<std::size_t>(l)];
+    while (level_size_[static_cast<std::size_t>(lowest_)] == 0) ++lowest_;
+  }
+
+ private:
+  std::size_t words_;
+  std::vector<int> load_;
+  std::vector<bits::Word> levels_;  ///< level l at [l * words_, (l+1) * words_)
+  std::vector<int> level_size_;     ///< members per level
+  int lowest_ = 0;
+};
+
+}  // namespace
 
 StorageLayout::StorageLayout(int n, int k,
                              std::vector<std::vector<NodeId>> placement)
@@ -86,92 +159,54 @@ StorageLayout round_robin_layout(int num_native_blocks, int n, int k,
 StorageLayout random_rack_constrained_layout(int num_native_blocks, int n,
                                              int k, const net::Topology& topo,
                                              util::Rng& rng) {
-  if (num_native_blocks % k != 0) {
-    throw std::invalid_argument("native block count must be a multiple of k");
-  }
+  require_rack_rule_feasible(num_native_blocks, n, k, topo);
   const int max_per_rack = n - k;
-  int feasible = 0;
-  for (RackId r = 0; r < topo.num_racks(); ++r) {
-    feasible += std::min(static_cast<int>(topo.nodes_in_rack(r).size()),
-                         max_per_rack);
-  }
-  if (feasible < n) {
-    throw std::invalid_argument(
-        "topology cannot satisfy the rack placement rule for this (n,k)");
-  }
-
   const int stripes = num_native_blocks / k;
   const int num_nodes = topo.num_nodes();
-  std::vector<int> load(static_cast<std::size_t>(num_nodes), 0);
+  LoadLevels levels(num_nodes);
+  const std::size_t words = levels.words();
+  std::vector<bits::Word> all(words, 0);
+  for (NodeId node = 0; node < num_nodes; ++node) bits::set(all.data(), node);
+  // Per-stripe legality: nodes the stripe has not used, in racks still
+  // below max_per_rack.
+  std::vector<bits::Word> legal(words);
+  std::vector<int> rack_count(static_cast<std::size_t>(topo.num_racks()), 0);
   std::vector<std::vector<NodeId>> placement(
       static_cast<std::size_t>(stripes));
 
   for (int s = 0; s < stripes; ++s) {
     auto& row = placement[static_cast<std::size_t>(s)];
     row.reserve(static_cast<std::size_t>(n));
-    std::vector<bool> used(static_cast<std::size_t>(num_nodes), false);
-    std::vector<int> rack_count(static_cast<std::size_t>(topo.num_racks()), 0);
-    int attempts = 0;
+    std::copy(all.begin(), all.end(), legal.begin());
     for (int b = 0; b < n; ++b) {
       // Greedy parity declustering: among nodes that keep the stripe legal,
-      // prefer the least-loaded, breaking ties randomly. After repeated dead
-      // ends, fall back to any legal node to guarantee termination (the rule
-      // was verified feasible above).
-      const bool ignore_load = attempts >= 8;
-      std::vector<NodeId> candidates;
-      int best_load = -1;
-      for (NodeId node = 0; node < num_nodes; ++node) {
-        if (used[static_cast<std::size_t>(node)]) continue;
-        if (rack_count[static_cast<std::size_t>(topo.rack_of(node))] >=
-            max_per_rack) {
-          continue;
-        }
-        const int l = ignore_load ? 0 : load[static_cast<std::size_t>(node)];
-        if (best_load < 0 || l < best_load) {
-          best_load = l;
-          candidates.assign(1, node);
-        } else if (l == best_load) {
-          candidates.push_back(node);
-        }
+      // prefer the least-loaded, breaking ties randomly. The candidates are
+      // the legal members of the lowest load level that has one, in
+      // ascending id order, and one Rng draw picks among them. A legal node
+      // always remains: the rack quotas form a partition matroid whose rank
+      // reaches n (checked above), so every legal partial stripe extends.
+      int level = levels.lowest();
+      long count = 0;
+      while ((count = bits::count_and(levels.level(level), legal.data(),
+                                      words)) == 0) {
+        ++level;
+        assert(level < levels.num_levels());
       }
-      if (candidates.empty()) {
-        // Painted into a corner (possible with tiny racks): undo this
-        // stripe's choices and retry it.
-        for (NodeId node : row) --load[static_cast<std::size_t>(node)];
-        row.clear();
-        std::fill(used.begin(), used.end(), false);
-        std::fill(rack_count.begin(), rack_count.end(), 0);
-        ++attempts;
-        if (attempts >= 32) {
-          // Deterministic fallback that cannot dead-end: fill rack quotas
-          // (capped at max_per_rack) with that rack's least-loaded nodes.
-          for (RackId r = 0; r < topo.num_racks() &&
-                             static_cast<int>(row.size()) < n;
-               ++r) {
-            std::vector<NodeId> members = topo.nodes_in_rack(r);
-            std::sort(members.begin(), members.end(),
-                      [&](NodeId a, NodeId c) {
-                        return load[static_cast<std::size_t>(a)] <
-                               load[static_cast<std::size_t>(c)];
-                      });
-            const int take =
-                std::min({max_per_rack, static_cast<int>(members.size()),
-                          n - static_cast<int>(row.size())});
-            for (int i = 0; i < take; ++i) {
-              row.push_back(members[static_cast<std::size_t>(i)]);
-              ++load[static_cast<std::size_t>(members[static_cast<std::size_t>(i)])];
-            }
-          }
-          break;
-        }
-        b = -1;
-        continue;
-      }
-      const NodeId chosen = candidates[rng.index(candidates.size())];
+      const NodeId chosen = bits::select_and(
+          levels.level(level), legal.data(), words,
+          static_cast<long>(rng.index(static_cast<std::size_t>(count))));
       row.push_back(chosen);
-      used[static_cast<std::size_t>(chosen)] = true;
-      ++rack_count[static_cast<std::size_t>(topo.rack_of(chosen))];
-      ++load[static_cast<std::size_t>(chosen)];
+      bits::clear(legal.data(), chosen);
+      const RackId rack = topo.rack_of(chosen);
+      if (++rack_count[static_cast<std::size_t>(rack)] == max_per_rack) {
+        for (NodeId node : topo.nodes_in_rack(rack)) {
+          bits::clear(legal.data(), node);
+        }
+      }
+      levels.raise(chosen);
+    }
+    for (NodeId node : row) {
+      rack_count[static_cast<std::size_t>(topo.rack_of(node))] = 0;
     }
   }
   return StorageLayout(n, k, std::move(placement));
@@ -183,20 +218,8 @@ StorageLayout zipf_rack_skewed_layout(int num_native_blocks, int n, int k,
   if (exponent < 0.0) {
     throw std::invalid_argument("skew exponent must be >= 0");
   }
-  if (num_native_blocks % k != 0) {
-    throw std::invalid_argument("native block count must be a multiple of k");
-  }
+  require_rack_rule_feasible(num_native_blocks, n, k, topo);
   const int max_per_rack = n - k;
-  int feasible = 0;
-  for (RackId r = 0; r < topo.num_racks(); ++r) {
-    feasible += std::min(static_cast<int>(topo.nodes_in_rack(r).size()),
-                         max_per_rack);
-  }
-  if (feasible < n) {
-    throw std::invalid_argument(
-        "topology cannot satisfy the rack placement rule for this (n,k)");
-  }
-
   const int stripes = num_native_blocks / k;
   const int num_nodes = topo.num_nodes();
   const auto num_racks = static_cast<std::size_t>(topo.num_racks());

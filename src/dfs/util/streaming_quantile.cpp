@@ -89,7 +89,9 @@ void StreamingQuantile::add(double x) {
   if (count_ <= exact_limit_) {
     exact_.push_back(x);
   } else if (!exact_.empty()) {
-    exact_ = {};  // crossed into the estimator regime: release the buffer
+    // Crossed into the estimator regime: release the buffer. A fresh vector,
+    // not `= {}`, which clears but keeps the capacity.
+    exact_ = std::vector<double>();
   }
   if (count_ < 5) return;
   if (count_ == 5) {

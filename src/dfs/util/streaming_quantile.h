@@ -33,6 +33,9 @@ class StreamingQuantile {
   std::size_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
 
+  /// Doubles the exact buffer holds room for (0 in the estimator regime).
+  std::size_t exact_capacity() const { return exact_.capacity(); }
+
   /// Sum of observations / count, accumulated in arrival order (identical
   /// to util::summarize(xs).mean for the same sequence). 0 when empty.
   double mean() const;

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "dfs/core/degraded_first.h"
 #include "dfs/core/locality_first.h"
 #include "dfs/ec/reed_solomon.h"
+#include "dfs/mapreduce/master_state.h"
+#include "dfs/mapreduce/pending_pool.h"
 #include "dfs/mapreduce/simulation.h"
 #include "dfs/mapreduce/repair.h"
 #include "dfs/mapreduce/speed_model.h"
@@ -981,6 +984,78 @@ TEST(Replication, RackFailureStillNoDegradedTasks) {
   // HDFS placement tolerates a single-rack failure outright.
   EXPECT_EQ(r.count_map_tasks(MapTaskKind::kDegraded), 0);
   EXPECT_FALSE(r.data_loss);
+}
+
+// --- pending pool ----------------------------------------------------------
+
+TEST(PendingPool, MatchesBruteForceScanUnderRandomOps) {
+  // Uneven racks, 89 nodes: the level bitsets span two words.
+  const net::Topology topo(std::vector<int>{3, 1, 7, 2, 40, 1, 30, 5});
+  const int nodes = topo.num_nodes();
+  PendingPool pool(nodes);
+  std::vector<std::set<int>> live(static_cast<std::size_t>(nodes));
+  const auto brute_most_loaded_outside = [&](RackId rack) {
+    NodeId best = -1;
+    long best_len = 0;
+    for (NodeId node = 0; node < nodes; ++node) {
+      if (topo.rack_of(node) == rack) continue;
+      const long len = static_cast<long>(live[static_cast<std::size_t>(node)].size());
+      if (len > best_len) {
+        best_len = len;
+        best = node;
+      }
+    }
+    return best;
+  };
+  util::Rng rng(99);
+  for (int step = 0; step < 20000; ++step) {
+    // Skew toward a few hot nodes so the count levels climb and fall.
+    const NodeId node = rng.uniform_int(0, 3) == 0
+                            ? rng.uniform_int(0, nodes - 1)
+                            : rng.uniform_int(0, 9) * 9 % nodes;
+    auto& model = live[static_cast<std::size_t>(node)];
+    const int map_idx = rng.uniform_int(0, 11);
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+      case 1:
+        if (model.insert(map_idx).second) pool.repush(node, map_idx);
+        break;
+      case 2:
+        ASSERT_EQ(pool.invalidate(node, map_idx), model.erase(map_idx) == 1);
+        break;
+      default: {
+        const std::optional<int> popped = pool.pop(node);
+        ASSERT_EQ(popped.has_value(), !model.empty());
+        if (popped) {
+          ASSERT_EQ(model.erase(*popped), 1u);
+        }
+      }
+    }
+    for (NodeId v = 0; v < nodes; ++v) {
+      ASSERT_EQ(pool.live_count(v),
+                static_cast<long>(live[static_cast<std::size_t>(v)].size()))
+          << "step " << step << " node " << v;
+    }
+    for (RackId r = 0; r < topo.num_racks(); ++r) {
+      ASSERT_EQ(pool.most_loaded_outside(r, topo), brute_most_loaded_outside(r))
+          << "step " << step << " rack " << r;
+    }
+  }
+}
+
+TEST(JobState, ReleaseSchedulingStateFreesCapacity) {
+  // A retired job must not keep its per-node queue slots: at 10k slaves
+  // that is ~1 MB per job, and a long run retires thousands of jobs.
+  JobState j;
+  j.pending_by_node = PendingPool(10000);
+  j.pending_by_rack.assign(1000, 0);
+  j.completed_map_records.assign(500, 1);
+  j.pending_degraded.push(3);
+  j.release_scheduling_state();
+  EXPECT_EQ(j.pending_by_node.capacity(), 0u);
+  EXPECT_EQ(j.pending_by_rack.capacity(), 0u);
+  EXPECT_EQ(j.completed_map_records.capacity(), 0u);
+  EXPECT_EQ(j.pending_degraded.live_count(), 0);
 }
 
 }  // namespace

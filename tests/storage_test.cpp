@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "dfs/ec/hitchhiker.h"
 #include "dfs/ec/lrc.h"
@@ -87,6 +89,154 @@ TEST(Layout, MotivatingExampleTopologyFeasible) {
   util::Rng rng(7);
   const StorageLayout l = random_rack_constrained_layout(12, 4, 2, topo, rng);
   EXPECT_TRUE(l.satisfies_placement_rule(topo, 2));
+}
+
+// The per-block scan random_rack_constrained_layout used before its bitset
+// index, kept as the oracle the index must match draw for draw. It also
+// counts its dead ends: every retry, including those that lead to the
+// ignore-load (attempts >= 8) and rack-quota fallback (>= 32) branches.
+StorageLayout reference_scan_layout(int num_native_blocks, int n, int k,
+                                    const net::Topology& topo, util::Rng& rng,
+                                    long& dead_ends) {
+  if (num_native_blocks % k != 0) {
+    throw std::invalid_argument("native block count must be a multiple of k");
+  }
+  const int max_per_rack = n - k;
+  int feasible = 0;
+  for (RackId r = 0; r < topo.num_racks(); ++r) {
+    feasible += std::min(static_cast<int>(topo.nodes_in_rack(r).size()),
+                         max_per_rack);
+  }
+  if (feasible < n) {
+    throw std::invalid_argument(
+        "topology cannot satisfy the rack placement rule for this (n,k)");
+  }
+
+  const int stripes = num_native_blocks / k;
+  const int num_nodes = topo.num_nodes();
+  std::vector<int> load(static_cast<std::size_t>(num_nodes), 0);
+  std::vector<std::vector<NodeId>> placement(
+      static_cast<std::size_t>(stripes));
+
+  for (int s = 0; s < stripes; ++s) {
+    auto& row = placement[static_cast<std::size_t>(s)];
+    row.reserve(static_cast<std::size_t>(n));
+    std::vector<bool> used(static_cast<std::size_t>(num_nodes), false);
+    std::vector<int> rack_count(static_cast<std::size_t>(topo.num_racks()), 0);
+    int attempts = 0;
+    for (int b = 0; b < n; ++b) {
+      const bool ignore_load = attempts >= 8;
+      std::vector<NodeId> candidates;
+      int best_load = -1;
+      for (NodeId node = 0; node < num_nodes; ++node) {
+        if (used[static_cast<std::size_t>(node)]) continue;
+        if (rack_count[static_cast<std::size_t>(topo.rack_of(node))] >=
+            max_per_rack) {
+          continue;
+        }
+        const int l = ignore_load ? 0 : load[static_cast<std::size_t>(node)];
+        if (best_load < 0 || l < best_load) {
+          best_load = l;
+          candidates.assign(1, node);
+        } else if (l == best_load) {
+          candidates.push_back(node);
+        }
+      }
+      if (candidates.empty()) {
+        for (NodeId node : row) --load[static_cast<std::size_t>(node)];
+        row.clear();
+        std::fill(used.begin(), used.end(), false);
+        std::fill(rack_count.begin(), rack_count.end(), 0);
+        ++attempts;
+        ++dead_ends;
+        if (attempts >= 32) {
+          for (RackId r = 0; r < topo.num_racks() &&
+                             static_cast<int>(row.size()) < n;
+               ++r) {
+            std::vector<NodeId> members = topo.nodes_in_rack(r);
+            std::sort(members.begin(), members.end(),
+                      [&](NodeId a, NodeId c) {
+                        return load[static_cast<std::size_t>(a)] <
+                               load[static_cast<std::size_t>(c)];
+                      });
+            const int take =
+                std::min({max_per_rack, static_cast<int>(members.size()),
+                          n - static_cast<int>(row.size())});
+            for (int i = 0; i < take; ++i) {
+              row.push_back(members[static_cast<std::size_t>(i)]);
+              ++load[static_cast<std::size_t>(
+                  members[static_cast<std::size_t>(i)])];
+            }
+          }
+          break;
+        }
+        b = -1;
+        continue;
+      }
+      const NodeId chosen = candidates[rng.index(candidates.size())];
+      row.push_back(chosen);
+      used[static_cast<std::size_t>(chosen)] = true;
+      ++rack_count[static_cast<std::size_t>(topo.rack_of(chosen))];
+      ++load[static_cast<std::size_t>(chosen)];
+    }
+  }
+  return StorageLayout(n, k, std::move(placement));
+}
+
+TEST(Layout, RandomRackConstrainedMatchesReferenceScan) {
+  // Random topologies, from tiny uneven racks (where the rack quota binds
+  // and the per-rack sums barely reach n) to 300-node clusters spanning
+  // several bitset words, under several (n, k) pairs.
+  const std::vector<std::pair<int, int>> codes = {
+      {3, 1}, {3, 2}, {4, 2}, {5, 3}, {6, 4}, {9, 6}, {12, 10}, {16, 12}};
+  util::Rng meta(2024);
+  long dead_ends = 0;
+  int compared = 0;
+  int tight = 0;  // cases whose racks hold exactly n blocks per stripe
+  for (int trial = 0; trial < 600; ++trial) {
+    const bool big = trial % 5 == 0;
+    const int racks = big ? meta.uniform_int(2, 30) : meta.uniform_int(1, 8);
+    std::vector<int> sizes;
+    for (int r = 0; r < racks; ++r) {
+      sizes.push_back(big ? meta.uniform_int(1, 20) : meta.uniform_int(1, 4));
+    }
+    const net::Topology topo(sizes);
+    const auto [n, k] = codes[meta.index(codes.size())];
+    const int blocks = k * meta.uniform_int(1, 40);
+    const std::uint64_t seed = static_cast<std::uint64_t>(trial) + 1;
+    util::Rng ref_rng(seed);
+    util::Rng rng(seed);
+    std::optional<StorageLayout> expected;
+    try {
+      expected = reference_scan_layout(blocks, n, k, topo, ref_rng, dead_ends);
+    } catch (const std::invalid_argument&) {
+      EXPECT_THROW(random_rack_constrained_layout(blocks, n, k, topo, rng),
+                   std::invalid_argument);
+      continue;
+    }
+    const StorageLayout got =
+        random_rack_constrained_layout(blocks, n, k, topo, rng);
+    ASSERT_EQ(got.num_stripes(), expected->num_stripes());
+    for (int s = 0; s < got.num_stripes(); ++s) {
+      for (int b = 0; b < n; ++b) {
+        ASSERT_EQ(got.node_of(BlockId{s, b}), expected->node_of(BlockId{s, b}))
+            << "trial " << trial << " stripe " << s << " block " << b;
+      }
+    }
+    // Same number of draws: the next one agrees too.
+    ASSERT_EQ(rng.uniform_int(0, 1 << 30), ref_rng.uniform_int(0, 1 << 30))
+        << "trial " << trial;
+    ++compared;
+    int quota_sum = 0;
+    for (const int size : sizes) quota_sum += std::min(size, n - k);
+    if (quota_sum == n) ++tight;
+  }
+  EXPECT_GT(compared, 300);
+  EXPECT_GT(tight, 20);
+  // The rack quotas form a partition matroid: once the sum of
+  // min(rack size, n - k) reaches n, every legal partial stripe extends, so
+  // the scan never dead-ends — not even on the tight cases above.
+  EXPECT_EQ(dead_ends, 0);
 }
 
 TEST(Layout, ZipfSkewedSatisfiesRule) {

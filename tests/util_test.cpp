@@ -215,6 +215,8 @@ TEST(StreamingQuantile, EstimatorRegimeTracksLargeSamples) {
   EXPECT_NEAR(q.quantile(99.0), exact_p99, 0.05 * exact_p99);
   // The mean stays exact in either regime (plain running sum).
   EXPECT_DOUBLE_EQ(q.mean(), summarize(xs).mean);
+  // The exact buffer is freed, not just cleared.
+  EXPECT_EQ(q.exact_capacity(), 0u);
 }
 
 TEST(StreamingQuantile, TinySamplesAndEmptyBehave) {
