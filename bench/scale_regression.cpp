@@ -39,6 +39,7 @@
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common.h"
@@ -192,8 +193,14 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get_or("out", "BENCH_scale.json");
   const auto baseline_path = args.get("baseline");
   const auto prev_path = args.get("prev");
-  const double max_regress = args.get_double("max-regress", 0.25);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  double max_regress = 0.0;
+  std::uint64_t seed = 0;
+  try {
+    max_regress = args.get_double("max-regress", 0.25);
+    seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  }
   if (max_regress < 0.0 || max_regress >= 1.0) {
     return usage_error("--max-regress must be in [0, 1)");
   }

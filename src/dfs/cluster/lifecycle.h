@@ -27,12 +27,6 @@ struct LifecycleOptions {
   /// Probability that a failure event takes the node's whole rack (ToR
   /// switch loss) instead of just the node.
   double rack_failure_fraction = 0.0;
-  /// Cap on simultaneously failed nodes for node-level events; a failure
-  /// clock that fires at the cap is redrawn instead of fired (keeps the
-  /// default scenario inside the code's tolerance so runs measure latency,
-  /// not data loss). Rack events ignore the cap and instead fire only into
-  /// an otherwise healthy cluster.
-  int max_concurrent_failed = 4;
   /// Simultaneous block reconstructions per failure event.
   int repair_concurrency = 4;
   /// Size of each rebuilt block.

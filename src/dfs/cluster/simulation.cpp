@@ -1,13 +1,19 @@
 #include "dfs/cluster/simulation.h"
 
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "dfs/ec/registry.h"
+#include "dfs/ec/reed_solomon.h"
 #include "dfs/workload/scenarios.h"
 
 namespace dfs::cluster {
+
+namespace {
+// The archive is rs:20,15; its size sets the repair traffic per failure.
+constexpr int kArchiveNativeBlocks = 600;
+constexpr int kArchiveN = 20;
+constexpr int kArchiveK = 15;
+}  // namespace
 
 ClusterOptions::ClusterOptions() {
   config = workload::default_sim_cluster();
@@ -46,8 +52,7 @@ ClusterSimulation::ClusterSimulation(ClusterOptions options,
     net_->set_thread_pool(net_pool_.get());
   }
   master_ = std::make_unique<mapreduce::Master>(sim_, *net_, opts_.config,
-                                                failure_, scheduler, rng_,
-                                                opts_.source_selection);
+                                                failure_, scheduler, rng_);
   master_->set_admission_open(true);
   // FIFO keeps the null fast path (no policy call per heartbeat); anything
   // else is built by the factory and installed for the master's lifetime.
@@ -59,15 +64,10 @@ ClusterSimulation::ClusterSimulation(ClusterOptions options,
   // The cluster's archival data: what a failed node actually loses and a
   // repair actually rebuilds. Shares the network with the job traffic.
   archive_layout_ = std::make_shared<const storage::StorageLayout>(
-      storage::random_rack_constrained_layout(
-          opts_.archive_native_blocks, opts_.archive_n, opts_.archive_k,
-          opts_.config.topology, rng_));
-  archive_code_ = ec::make_code_from_spec(
-      "rs:" + std::to_string(opts_.archive_n) + "," +
-      std::to_string(opts_.archive_k));
-  if (!archive_code_) {
-    throw std::invalid_argument("bad archive code parameters");
-  }
+      storage::random_rack_constrained_layout(kArchiveNativeBlocks, kArchiveN,
+                                              kArchiveK, opts_.config.topology,
+                                              rng_));
+  archive_code_ = ec::make_reed_solomon(kArchiveN, kArchiveK);
 
   lifecycle_ = std::make_unique<LifecycleDriver>(
       sim_, *net_, *master_, failure_, *archive_layout_, *archive_code_,

@@ -10,7 +10,7 @@ Master::Master(sim::Simulator& simulator, net::Network& network,
                const ClusterConfig& config,
                const storage::FailureScenario& failure,
                core::Scheduler& scheduler, util::Rng& rng,
-               storage::SourceSelection source_selection,
+               storage::SourceSelection selection,
                storage::RecoveryCostModel cost_model)
     : state_(simulator, network, config, failure),
       map_(state_),
@@ -18,7 +18,7 @@ Master::Master(sim::Simulator& simulator, net::Network& network,
       fault_(state_),
       scheduler_(scheduler),
       rng_(rng),
-      source_selection_(source_selection),
+      selection_(selection),
       cost_model_(cost_model) {
   state_.hooks = &hooks;
   map_.wire(shuffle_, fault_);
@@ -59,7 +59,7 @@ void Master::submit(const JobInput& input) {
   j.layout = input.layout;
   j.code = input.code;
   j.planner = std::make_unique<storage::DegradedReadPlanner>(
-      *j.layout, state_.cfg.topology, *j.code, source_selection_,
+      *j.layout, state_.cfg.topology, *j.code, selection_,
       cost_model_);
   j.expected_degraded_cost = j.planner->expected_single_failure_blocks();
   j.rng = rng_.fork();

@@ -27,7 +27,7 @@ class Master final : public core::SchedulerContext {
   Master(sim::Simulator& simulator, net::Network& network,
          const ClusterConfig& config, const storage::FailureScenario& failure,
          core::Scheduler& scheduler, util::Rng& rng,
-         storage::SourceSelection source_selection =
+         storage::SourceSelection selection =
              storage::SourceSelection::kRandom,
          storage::RecoveryCostModel cost_model =
              storage::RecoveryCostModel{});
@@ -138,7 +138,7 @@ class Master final : public core::SchedulerContext {
   /// Optional job-queue ordering; null = FIFO fast path (no policy call).
   core::AdmissionPolicy* admission_policy_ = nullptr;
   util::Rng& rng_;
-  storage::SourceSelection source_selection_;
+  storage::SourceSelection selection_;
   storage::RecoveryCostModel cost_model_;
   bool started_ = false;
   /// Scratch for running_jobs(): filled per call, valid until the next one.

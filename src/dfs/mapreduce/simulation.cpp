@@ -8,13 +8,13 @@ namespace dfs::mapreduce {
 MapReduceSimulation::MapReduceSimulation(
     ClusterConfig config, std::vector<JobInput> jobs,
     storage::FailureScenario failure, core::Scheduler& scheduler,
-    std::uint64_t seed, storage::SourceSelection source_selection,
+    std::uint64_t seed, storage::SourceSelection selection,
     storage::RecoveryCostModel cost_model)
     : cfg_(std::move(config)), failure_(std::move(failure)), rng_(seed) {
   net_ = std::make_unique<net::Network>(sim_, cfg_.topology, cfg_.links,
                                         cfg_.contention);
   master_ = std::make_unique<Master>(sim_, *net_, cfg_, failure_, scheduler,
-                                     rng_, source_selection, cost_model);
+                                     rng_, selection, cost_model);
   for (const JobInput& j : jobs) master_->submit(j);
 }
 
@@ -39,10 +39,10 @@ RunResult simulate(const ClusterConfig& config,
                    const std::vector<JobInput>& jobs,
                    const storage::FailureScenario& failure,
                    core::Scheduler& scheduler, std::uint64_t seed,
-                   storage::SourceSelection source_selection,
+                   storage::SourceSelection selection,
                    storage::RecoveryCostModel cost_model) {
   MapReduceSimulation s(config, jobs, failure, scheduler, seed,
-                        source_selection, cost_model);
+                        selection, cost_model);
   return s.run();
 }
 

@@ -22,7 +22,7 @@ class MapReduceSimulation {
   MapReduceSimulation(ClusterConfig config, std::vector<JobInput> jobs,
                       storage::FailureScenario failure,
                       core::Scheduler& scheduler, std::uint64_t seed,
-                      storage::SourceSelection source_selection =
+                      storage::SourceSelection selection =
                           storage::SourceSelection::kRandom,
                       storage::RecoveryCostModel cost_model =
                           storage::RecoveryCostModel{});
@@ -52,7 +52,7 @@ RunResult simulate(const ClusterConfig& config,
                    const std::vector<JobInput>& jobs,
                    const storage::FailureScenario& failure,
                    core::Scheduler& scheduler, std::uint64_t seed,
-                   storage::SourceSelection source_selection =
+                   storage::SourceSelection selection =
                        storage::SourceSelection::kRandom,
                    storage::RecoveryCostModel cost_model =
                        storage::RecoveryCostModel{});

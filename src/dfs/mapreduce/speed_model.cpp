@@ -12,12 +12,7 @@ namespace dfs::mapreduce {
 namespace {
 
 double parse_positive(const std::string& piece, const char* what) {
-  double v = 0.0;
-  try {
-    v = std::stod(piece);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("bad ") + what + ": " + piece);
-  }
+  const double v = util::parse_number<double>("--speed-profile", piece);
   if (v <= 0.0) {
     throw std::invalid_argument(std::string(what) + " must be > 0, got " +
                                 piece);
@@ -37,22 +32,16 @@ SpeedModel SpeedModel::parse(const std::string& spec) {
           "bimodal speed profile needs FRAC,SLOWDOWN[,SEED]: " + spec);
     }
     model.profile = Profile::kBimodal;
-    try {
-      model.slow_fraction = std::stod(pieces[0]);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad slow-node fraction: " + pieces[0]);
-    }
+    model.slow_fraction =
+        util::parse_number<double>("--speed-profile", pieces[0]);
     if (model.slow_fraction < 0.0 || model.slow_fraction > 1.0) {
       throw std::invalid_argument("slow-node fraction must be in [0, 1]: " +
                                   pieces[0]);
     }
     model.slowdown = parse_positive(pieces[1], "speed slowdown factor");
     if (pieces.size() == 3) {
-      try {
-        model.seed = std::stoull(pieces[2]);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("bad speed-profile seed: " + pieces[2]);
-      }
+      model.seed = util::parse_number<std::uint64_t>("--speed-profile",
+                                                     pieces[2]);
     }
     return model;
   }

@@ -1,20 +1,18 @@
 #include "dfs/runner/jobs_flag.h"
 
-#include <charconv>
+#include <stdexcept>
 
 #include "dfs/runner/thread_pool.h"
 
 namespace dfs::runner {
 
 std::optional<int> parse_jobs(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  int value = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;  // junk/overflow
-  if (value < 1) return std::nullopt;
-  return value;
+  try {
+    const int value = util::parse_number<int>("--jobs", text);
+    if (value >= 1) return value;
+  } catch (const std::invalid_argument&) {
+  }
+  return std::nullopt;
 }
 
 std::optional<int> jobs_from_args(const util::Args& args) {

@@ -7,10 +7,9 @@
 
 namespace dfs::runner {
 
-/// Strictly parse a `--jobs` value: decimal digits only, value >= 1.
+/// Strictly parse a `--jobs` value with util::parse_number: value >= 1.
 /// Returns nullopt for 0, negative, empty, overflowing, or non-numeric
-/// input — the same reject-don't-coerce rule the tools apply to every other
-/// numeric flag (atoi would happily read "2x" as 2 and "abc" as 0).
+/// input — the same reject-don't-coerce rule as every other numeric flag.
 std::optional<int> parse_jobs(const std::string& text);
 
 /// Resolve `--jobs` from parsed Args.

@@ -8,6 +8,10 @@ namespace dfs::storage {
 
 namespace {
 
+/// Cost weight of a source in the reader's rack: the unit that
+/// RecoveryCostModel::cross_rack_weight is priced against.
+constexpr double kInRackWeight = 1.0;
+
 /// Options fetching any partial block are ineligible when the cost model
 /// runs in whole-block mode.
 bool eligible(const ec::RecoveryOption& option,
@@ -102,7 +106,7 @@ double DegradedReadPlanner::option_cost(const ec::RecoveryOption& option,
   for (const ec::RecoverySource& src : option.sources) {
     const NodeId holder = layout_.node_of(BlockId{stripe, src.shard});
     const double weight = topo_.same_rack(holder, reader)
-                              ? cost_model_.in_rack_weight
+                              ? kInRackWeight
                               : cost_model_.cross_rack_weight;
     cost += src.fraction * weight;
   }

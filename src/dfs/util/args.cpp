@@ -1,7 +1,10 @@
 #include "dfs/util/args.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <stdexcept>
+#include <type_traits>
 
 namespace dfs::util {
 
@@ -45,12 +48,12 @@ std::string Args::get_or(const std::string& name,
 
 int Args::get_int(const std::string& name, int def) const {
   const auto v = get(name);
-  return v ? std::atoi(v->c_str()) : def;
+  return v ? parse_number<int>("--" + name, *v) : def;
 }
 
 double Args::get_double(const std::string& name, double def) const {
   const auto v = get(name);
-  return v ? std::atof(v->c_str()) : def;
+  return v ? parse_number<double>("--" + name, *v) : def;
 }
 
 bool Args::has(const std::string& name) const {
@@ -83,6 +86,40 @@ std::vector<std::string> split(const std::string& s, char sep) {
     out.push_back(s.substr(start, pos - start));
     start = pos + 1;
   }
+}
+
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument(flag + ": '" + text + "' is out of range");
+  }
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw std::invalid_argument(
+        flag + ": expected " +
+        (std::is_integral_v<T> ? "an integer" : "a finite number") +
+        ", got '" + text + "'");
+  }
+  return value;
+}
+
+template int parse_number<int>(const std::string&, const std::string&);
+template std::uint64_t parse_number<std::uint64_t>(const std::string&,
+                                                   const std::string&);
+template double parse_number<double>(const std::string&, const std::string&);
+
+std::vector<double> parse_double_list(const std::string& flag,
+                                      const std::string& text) {
+  std::vector<double> out;
+  for (const std::string& item : split(text, ',')) {
+    out.push_back(parse_number<double>(flag, item));
+  }
+  if (out.empty()) throw std::invalid_argument(flag + ": empty list");
+  return out;
 }
 
 }  // namespace dfs::util

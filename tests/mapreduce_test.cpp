@@ -453,6 +453,10 @@ TEST(SpeedModel, RejectsMalformedSpecs) {
   EXPECT_THROW(SpeedModel::parse("bimodal:0.5,0"), std::invalid_argument);
   EXPECT_THROW(SpeedModel::parse("bimodal:0.5,-2"), std::invalid_argument);
   EXPECT_THROW(SpeedModel::parse("vector:"), std::invalid_argument);
+  // Numbers are whole tokens: stod would have read these as 2, 0.5 and 42.
+  EXPECT_THROW(SpeedModel::parse("vector:1,2x"), std::invalid_argument);
+  EXPECT_THROW(SpeedModel::parse("bimodal:0.5x,2"), std::invalid_argument);
+  EXPECT_THROW(SpeedModel::parse("bimodal:0.5,3,42x"), std::invalid_argument);
   EXPECT_THROW(SpeedModel::parse("vector:1,0"), std::invalid_argument);
   EXPECT_THROW(SpeedModel::parse("vector:1,-3"), std::invalid_argument);
 }

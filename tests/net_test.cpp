@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "dfs/net/network.h"
 #include "dfs/net/topology.h"
 #include "dfs/net/utilization.h"
+#include "dfs/runner/thread_pool.h"
 #include "dfs/sim/simulator.h"
 #include "dfs/util/rng.h"
 
@@ -580,6 +584,150 @@ TEST(Network, CancelAfterDeliveryFromLaterBatchReturnsFalse) {
   EXPECT_FALSE(late_saw_cancel);
   EXPECT_EQ(net.flows_completed(), 2u);
   EXPECT_EQ(net.flows_cancelled(), 0u);
+}
+
+// --- exactness on the perf harness's burst workload --------------------------
+
+struct BurstOutcome {
+  double checksum = 0.0;  ///< sum of completion_time * flow_tag
+  std::uint64_t ops = 0;  ///< transfers started + cancellations attempted
+  std::uint64_t completed = 0;
+};
+
+/// The network macro of bench/perf_regression: per wave a 16-source
+/// degraded-read fan-in onto one reader, an 8x8 same-instant shuffle burst,
+/// and a mid-flight cancel of every third fan-in flow, on the paper's 4x10
+/// topology with default links. The checksum is order-insensitive but
+/// moves with any single completion time.
+BurstOutcome run_burst(int waves, bool cross_check, runner::ThreadPool* pool) {
+  sim::Simulator sim;
+  const Topology topo(4, 10);
+  const LinkConfig links;
+  Network net(sim, topo, links);
+  net.set_fair_share_cross_check(cross_check);
+  net.set_thread_pool(pool);
+  util::Rng rng(24601);
+  BurstOutcome out;
+  long tag = 0;
+  const auto deliver = [&](long mytag) {
+    return [&out, &sim, mytag] {
+      out.checksum += sim.now() * static_cast<double>(mytag);
+      ++out.completed;
+    };
+  };
+  for (int w = 0; w < waves; ++w) {
+    const double t = w * 1.0;
+    const auto fan_dst = static_cast<NodeId>(rng.uniform_int(0, 39));
+    auto fan_ids = std::make_shared<std::vector<FlowId>>();
+    for (int i = 0; i < 16; ++i) {
+      const auto src = static_cast<NodeId>(rng.uniform_int(0, 39));
+      const double size = rng.uniform(2e7, 6e7);
+      const long mytag = ++tag;
+      sim.schedule_at(t, [&, fan_ids, src, fan_dst, size, mytag] {
+        ++out.ops;
+        fan_ids->push_back(net.transfer(src, fan_dst, size, deliver(mytag)));
+      });
+    }
+    for (int m = 0; m < 8; ++m) {
+      const auto ms = static_cast<NodeId>(rng.uniform_int(0, 39));
+      for (int r = 0; r < 8; ++r) {
+        const auto rd = static_cast<NodeId>(rng.uniform_int(0, 39));
+        const double size = rng.uniform(2e6, 6e6);
+        const long mytag = ++tag;
+        sim.schedule_at(t + 0.4, [&, ms, rd, size, mytag] {
+          ++out.ops;
+          net.transfer(ms, rd, size, deliver(mytag));
+        });
+      }
+    }
+    sim.schedule_at(t + rng.uniform(0.2, 0.9), [&, fan_ids] {
+      for (std::size_t i = 0; i < fan_ids->size(); i += 3) {
+        ++out.ops;
+        net.cancel((*fan_ids)[i]);
+      }
+    });
+  }
+  sim.run();
+  EXPECT_EQ(net.active_flow_count(), 0);
+  return out;
+}
+
+TEST(Network, FairShareBurstWorkloadMatchesPinnedNaiveChecksum) {
+  // Pinned from the pre-aggregation engine, which re-ran a full per-flow
+  // water-filling pass on every op. The batched, class-aggregated engine
+  // must reproduce it bit for bit: with the naive per-flow cross-check on
+  // (so every recompute is also verified against the reference pass),
+  // plain, and with the component recompute fanned across four workers.
+  constexpr double kChecksum = 0x1.b7ce57b66677ep+28;
+  runner::ThreadPool pool(4);
+  struct Leg {
+    const char* name;
+    bool cross_check;
+    runner::ThreadPool* pool;
+  };
+  for (const Leg& leg : {Leg{"cross_check", true, nullptr},
+                         Leg{"plain", false, nullptr},
+                         Leg{"pool4", false, &pool}}) {
+    SCOPED_TRACE(leg.name);
+    const BurstOutcome out = run_burst(60, leg.cross_check, leg.pool);
+    EXPECT_EQ(out.checksum, kChecksum);
+    EXPECT_EQ(out.ops, 5160u);
+    EXPECT_EQ(out.completed, 4537u);
+  }
+}
+
+TEST(Network, FairShareParallelComponentRecomputeMatchesSerial) {
+  // The burst workload above is one congestion component per batch, so its
+  // pool leg never fans out. Here every rack runs its own fan-in over
+  // limited node links, started at one instant: each rack is a separate
+  // component, a batch holds several, and a four-worker pool water-fills
+  // them concurrently. Completion times must match the serial engine (with
+  // the naive cross-check on) bit for bit.
+  const auto run = [](runner::ThreadPool* pool, bool cross_check) {
+    sim::Simulator sim;
+    const Topology topo(4, 10);
+    LinkConfig links;
+    links.node_up = util::megabits_per_sec(400.0);
+    links.node_down = util::megabits_per_sec(400.0);
+    Network net(sim, topo, links);
+    net.set_fair_share_cross_check(cross_check);
+    net.set_thread_pool(pool);
+    util::Rng rng(31337);
+    BurstOutcome out;
+    long tag = 0;
+    for (int w = 0; w < 40; ++w) {
+      for (int rack = 0; rack < 4; ++rack) {
+        const auto reader =
+            static_cast<NodeId>(rack * 10 + rng.uniform_int(0, 9));
+        for (int i = 0; i < 4; ++i) {
+          const auto src =
+              static_cast<NodeId>(rack * 10 + rng.uniform_int(0, 9));
+          const double size = rng.uniform(1e6, 2e7);
+          const long mytag = ++tag;
+          sim.schedule_at(w * 0.5, [&, src, reader, size, mytag] {
+            net.transfer(src, reader, size, [&out, &sim, mytag] {
+              out.checksum += sim.now() * static_cast<double>(mytag);
+              ++out.completed;
+            });
+          });
+        }
+      }
+    }
+    sim.run();
+    return std::pair{out, net.stats()};
+  };
+  const auto [serial, serial_stats] = run(nullptr, true);
+  runner::ThreadPool pool(4);
+  const auto [parallel, stats] = run(&pool, false);
+  EXPECT_EQ(parallel.checksum, serial.checksum);
+  EXPECT_EQ(parallel.completed, 640u);
+  EXPECT_EQ(serial.completed, 640u);
+  // More component passes than batches: some batch held several components,
+  // which is exactly when the pool fans out.
+  EXPECT_GT(stats.component_recomputes, 0u);
+  EXPECT_GT(stats.fast_paths + stats.component_recomputes,
+            stats.batched_recomputes);
+  EXPECT_EQ(stats.component_recomputes, serial_stats.component_recomputes);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModels, ContentionParamTest,

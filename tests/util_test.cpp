@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "dfs/util/args.h"
 #include "dfs/util/epoch.h"
@@ -467,6 +469,56 @@ TEST(Args, SplitBasics) {
   EXPECT_EQ(split("lone", ','), (std::vector<std::string>{"lone"}));
   EXPECT_EQ(split("", ','), (std::vector<std::string>{}));
   EXPECT_EQ(split("x,,y", ','), (std::vector<std::string>{"x", "", "y"}));
+}
+
+TEST(Args, NumericGettersRejectMalformedValues) {
+  // atoi/atof would have read these as 2, 1 and 0: a strict whole-token
+  // parse throws instead, naming the flag.
+  const auto v = argv_of({"--seeds", "2x", "--hours", "1,5", "--skew", ""});
+  const Args args(static_cast<int>(v.size()), v.data());
+  try {
+    (void)args.get_int("seeds", 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--seeds: expected an integer, got '2x'");
+  }
+  EXPECT_THROW((void)args.get_double("hours", 2.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("skew", 0.0), std::invalid_argument);
+}
+
+TEST(Args, ParseNumberAcceptsWholeTokensOnly) {
+  EXPECT_EQ(parse_number<int>("--n", "-42"), -42);
+  EXPECT_EQ(parse_number<std::uint64_t>("--n", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(parse_number<double>("--x", "2.5e-3"), 2.5e-3);
+  EXPECT_DOUBLE_EQ(parse_number<double>("--x", "-0.5"), -0.5);
+  for (const char* bad : {"", " 1", "1 ", "+1", "1x", "0x10", "1.0"}) {
+    EXPECT_THROW((void)parse_number<int>("--n", bad), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "1.5.2", "2x", "1,5", "inf", "nan", "1e999"}) {
+    EXPECT_THROW((void)parse_number<double>("--x", bad), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  EXPECT_THROW((void)parse_number<int>("--n", "2147483648"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_number<std::uint64_t>("--n", "-1"),
+               std::invalid_argument);
+  try {
+    (void)parse_number<int>("--n", "99999999999");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--n: '99999999999' is out of range");
+  }
+}
+
+TEST(Args, ParseDoubleListIsStrictPerItem) {
+  EXPECT_EQ(parse_double_list("--t", "20,1"), (std::vector<double>{20.0, 1.0}));
+  EXPECT_EQ(parse_double_list("--t", "3"), (std::vector<double>{3.0}));
+  for (const char* bad : {"", "20x,1", "20,", ",1", "1,,2"}) {
+    EXPECT_THROW((void)parse_double_list("--t", bad), std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 TEST(Jsonl, RecordShapeMatchesInlineStreaming) {

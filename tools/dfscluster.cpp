@@ -101,6 +101,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "dfs/cluster/simulation.h"
@@ -128,33 +129,7 @@ std::string scheduler_name(const std::string& flag) {
   return flag;
 }
 
-/// Parses a comma-separated list of doubles; throws std::invalid_argument
-/// on anything non-numeric, trailing junk, or an empty list.
-std::vector<double> parse_double_list(const std::string& flag,
-                                      const std::string& value) {
-  std::vector<double> out;
-  for (const std::string& item : util::split(value, ',')) {
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(item, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != item.size() || item.empty()) {
-      throw std::invalid_argument("--" + flag + ": bad number '" + item +
-                                  "'");
-    }
-    out.push_back(v);
-  }
-  if (out.empty()) throw std::invalid_argument("--" + flag + ": empty list");
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   if (args.has("help")) {
     std::cout
         << "dfscluster - online cluster lifecycle simulator\n"
@@ -226,31 +201,27 @@ int main(int argc, char** argv) {
   if (tenants >= 1) {
     opts.arrivals.tenants.assign(static_cast<std::size_t>(tenants),
                                  cluster::TenantClass{});
-    try {
-      if (tenant_shares) {
-        const auto shares =
-            parse_double_list("tenant-shares", *tenant_shares);
-        if (static_cast<int>(shares.size()) != tenants) {
-          return fail("--tenant-shares needs exactly --tenants values");
-        }
-        for (std::size_t c = 0; c < shares.size(); ++c) {
-          if (shares[c] <= 0.0) return fail("--tenant-shares must be > 0");
-          opts.arrivals.tenants[c].arrival_share = shares[c];
-        }
+    if (tenant_shares) {
+      const auto shares =
+          util::parse_double_list("--tenant-shares", *tenant_shares);
+      if (static_cast<int>(shares.size()) != tenants) {
+        return fail("--tenant-shares needs exactly --tenants values");
       }
-      if (tenant_scales) {
-        const auto scales =
-            parse_double_list("tenant-scales", *tenant_scales);
-        if (static_cast<int>(scales.size()) != tenants) {
-          return fail("--tenant-scales needs exactly --tenants values");
-        }
-        for (std::size_t c = 0; c < scales.size(); ++c) {
-          if (scales[c] <= 0.0) return fail("--tenant-scales must be > 0");
-          opts.arrivals.tenants[c].job_scale = scales[c];
-        }
+      for (std::size_t c = 0; c < shares.size(); ++c) {
+        if (shares[c] <= 0.0) return fail("--tenant-shares must be > 0");
+        opts.arrivals.tenants[c].arrival_share = shares[c];
       }
-    } catch (const std::exception& e) {
-      return fail(e.what());
+    }
+    if (tenant_scales) {
+      const auto scales =
+          util::parse_double_list("--tenant-scales", *tenant_scales);
+      if (static_cast<int>(scales.size()) != tenants) {
+        return fail("--tenant-scales needs exactly --tenants values");
+      }
+      for (std::size_t c = 0; c < scales.size(); ++c) {
+        if (scales[c] <= 0.0) return fail("--tenant-scales must be > 0");
+        opts.arrivals.tenants[c].job_scale = scales[c];
+      }
     }
   }
 
@@ -565,4 +536,15 @@ int main(int argc, char** argv) {
     std::cout << '\n';
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed numeric flag values surface here from the Args getters.
+  try {
+    return run(util::Args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
+  }
 }

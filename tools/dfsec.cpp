@@ -240,7 +240,12 @@ int main(int argc, char** argv) {
   if (!code) {
     return fail(std::string("bad --code spec (") + ec::code_spec_help() + ")");
   }
-  const int block_kb = args.get_int("block-kb", 64);
+  int block_kb = 0;
+  try {
+    block_kb = args.get_int("block-kb", 64);
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
+  }
   if (block_kb < 1) return fail("--block-kb must be >= 1");
   if (const auto unknown = args.unrecognized(); !unknown.empty()) {
     return fail("unknown flag --" + unknown.front());

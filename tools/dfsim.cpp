@@ -37,11 +37,10 @@
 //                         to an in-rack fetch (1 = neutral)    [1]
 //   --recovery-stats      print one recovery_stats JSON line per seed
 //                         (degraded fetch volume in block units)
-//   --hetero X            every other node is X times slower (1 = off)
 //   --speed-profile SPEC  per-node speed profile: uniform |
 //                         bimodal:FRAC,SLOWDOWN[,SEED] | vector:F0,F1,...
-//                         (mutually exclusive with --hetero; when active,
-//                         the map-task CSV gains a time_scale column)
+//                         (when active, the map-task CSV gains a
+//                         time_scale column)
 //                                                           [uniform]
 //   --skew S              Zipf exponent for the random placement — rack 0
 //                         gets the hottest blocks (0 = uniform)   [0]
@@ -84,10 +83,7 @@ int fail(const std::string& message) {
   return 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   if (args.has("help")) {
     std::cout
         << "dfsim - MapReduce-over-erasure-coding simulator\n"
@@ -143,11 +139,13 @@ int main(int argc, char** argv) {
   mapreduce::JobSpec spec;
   spec.num_reducers = args.get_int("reducers", 30);
   spec.shuffle_ratio = args.get_double("shuffle", 0.01);
-  const auto mt = util::split(args.get_or("map-time", "20,1"), ',');
-  const auto rt = util::split(args.get_or("reduce-time", "30,2"), ',');
+  const auto mt =
+      util::parse_double_list("--map-time", args.get_or("map-time", "20,1"));
+  const auto rt = util::parse_double_list("--reduce-time",
+                                          args.get_or("reduce-time", "30,2"));
   if (mt.size() != 2 || rt.size() != 2) return fail("bad --map-time/--reduce-time");
-  spec.map_time = {std::atof(mt[0].c_str()), std::atof(mt[1].c_str())};
-  spec.reduce_time = {std::atof(rt[0].c_str()), std::atof(rt[1].c_str())};
+  spec.map_time = {mt[0], mt[1]};
+  spec.reduce_time = {rt[0], rt[1]};
 
   // Validate the scheduler spec once up front; every sweep cell builds its
   // own instance from the same name (schedulers like DELAY carry mutable
@@ -183,14 +181,6 @@ int main(int argc, char** argv) {
   const int repair_concurrency = args.get_int("repair", 0);
   const bool show_utilization = args.has("utilization");
   const bool show_net_stats = args.has("net-stats");
-  const double hetero = args.get_double("hetero", 1.0);
-  if (hetero != 1.0) {
-    cfg.node_time_scale.assign(
-        static_cast<std::size_t>(cfg.topology.num_nodes()), 1.0);
-    for (net::NodeId n = 1; n < cfg.topology.num_nodes(); n += 2) {
-      cfg.node_time_scale[static_cast<std::size_t>(n)] = hetero;
-    }
-  }
   mapreduce::SpeedModel speed;
   try {
     speed = mapreduce::SpeedModel::parse(
@@ -199,9 +189,6 @@ int main(int argc, char** argv) {
     return fail(e.what());
   }
   if (!speed.uniform()) {
-    if (hetero != 1.0) {
-      return fail("--speed-profile and --hetero are mutually exclusive");
-    }
     cfg.node_time_scale = speed.materialize(cfg.topology.num_nodes());
   }
   const double skew = args.get_double("skew", 0.0);
@@ -235,10 +222,12 @@ int main(int argc, char** argv) {
   if (cost_model.cross_rack_weight <= 0.0) {
     return fail("--cross-rack-cost must be > 0");
   }
-  if (hetero <= 0.0) return fail("--hetero must be > 0");
   if (placement != "random" && placement != "roundrobin" &&
       placement != "replicated") {
     return fail("unknown --placement " + placement);
+  }
+  if (sources != "random" && sources != "samerack") {
+    return fail("unknown --sources " + sources);
   }
   if (failure_kind != "none" && failure_kind != "node" &&
       failure_kind != "2node" && failure_kind != "rack") {
@@ -425,4 +414,15 @@ int main(int argc, char** argv) {
               << "_{map_tasks,reduce_tasks,jobs}.csv\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed numeric flag values surface here from the Args getters.
+  try {
+    return run(util::Args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
+  }
 }
