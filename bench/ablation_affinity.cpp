@@ -16,7 +16,7 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  const int seeds = bench::harness_flags(argc, argv, 15).seeds;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "Stripe-affinity degraded placement, default cluster, "
                "single-node failure,\nrack-aware source selection, "

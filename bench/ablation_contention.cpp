@@ -15,7 +15,7 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  const int seeds = bench::harness_flags(argc, argv, 15).seeds;
   std::cout << "Ablation: exclusive-FIFO (paper's NodeTree) vs max-min fair "
                "share, default cluster, single-node failure, "
             << seeds << " samples\n";

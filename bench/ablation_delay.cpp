@@ -17,7 +17,7 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  const int seeds = bench::harness_flags(argc, argv, 10).seeds;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "Delay scheduling vs locality-first vs degraded-first, "
             << seeds << " samples\n"

@@ -76,7 +76,7 @@ void run_case(const std::string& title, const mapreduce::ClusterConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  const int seeds = bench::harness_flags(argc, argv, 15).seeds;
   std::cout << "Ablation: EDF heuristic knobs, single-node failure, " << seeds
             << " samples per cell\n";
 

@@ -15,7 +15,7 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  const int seeds = bench::harness_flags(argc, argv, 10).seeds;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "FIFO vs fair job scheduling, big job (1440 blocks) + small "
                "job (90 blocks) submitted 10 s later,\nsingle-node failure, "

@@ -15,7 +15,7 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 3);
+  const int seeds = bench::harness_flags(argc, argv, 3).seeds;
 
   cluster::ClusterOptions base;
   base.horizon = 1800.0;  // half an hour keeps the sweep quick

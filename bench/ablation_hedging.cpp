@@ -76,7 +76,7 @@ double order_stat_percentile(int n, int k, double mean, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 3);
+  const int seeds = bench::harness_flags(argc, argv, 3).seeds;
 
   // --- sweep: redundancy r x straggler severity x scheduler -----------------
   // Moderate load: at the defaults the rack links saturate and queueing

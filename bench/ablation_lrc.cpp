@@ -34,7 +34,7 @@ mapreduce::JobInput make_job(std::shared_ptr<const ec::ErasureCode> code,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  const int seeds = bench::harness_flags(argc, argv, 15).seeds;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "Ablation: RS vs LRC degraded reads under LF and EDF, default "
                "cluster, single-node failure, "

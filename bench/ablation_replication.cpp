@@ -47,7 +47,7 @@ mapreduce::JobInput make_rs(const net::Topology& topo, util::Rng& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  const int seeds = bench::harness_flags(argc, argv, 10).seeds;
   const auto cfg = workload::default_sim_cluster();
   std::cout << "Replication vs erasure coding, 1440-block job, single-node "
                "failure, "

@@ -16,7 +16,7 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 15);
+  const int seeds = bench::harness_flags(argc, argv, 15).seeds;
   std::cout << "Ablation: degraded-read source selection (random-k vs "
                "prefer-same-rack), default cluster,\nsingle-node failure, "
             << seeds << " samples\n";

@@ -16,7 +16,7 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 10);
+  const int seeds = bench::harness_flags(argc, argv, 10).seeds;
   std::cout << "Speculative execution x scheduling, single-node failure, "
             << seeds << " samples\n";
 

@@ -23,7 +23,6 @@
 //   layout is identical, only noisier. --seeds / DFS_BENCH_SEEDS override
 //   the per-cell sample count either way.
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -51,12 +50,9 @@ double mean_of(const std::vector<double>& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const int seeds = bench::seeds_from_args(argc, argv, quick ? 2 : 5);
-  const int jobs = bench::jobs_from_args(argc, argv);
+  const auto flags = bench::harness_flags(argc, argv, 5, /*quick_seeds=*/2);
+  const bool quick = flags.quick;
+  const int seeds = flags.seeds, jobs = flags.jobs;
 
   // Moderate open load so the admission queue is non-trivial but stable:
   // jobs overlap and queue behind each other, which is the regime where

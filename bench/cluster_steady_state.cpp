@@ -14,8 +14,8 @@
 using namespace dfs;
 
 int main(int argc, char** argv) {
-  const int seeds = bench::seeds_from_args(argc, argv, 5);
-  const int jobs = bench::jobs_from_args(argc, argv);
+  const auto flags = bench::harness_flags(argc, argv, 5);
+  const int seeds = flags.seeds, jobs = flags.jobs;
 
   util::Table table({"scheduler", "p50(s)", "p95(s)", "p99(s)", "mean(s)",
                      "degraded", "failures", "net util"});

@@ -3,53 +3,67 @@
 // Shared helpers for the figure-reproduction harnesses.
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dfs/core/scheduler.h"
 #include "dfs/mapreduce/simulation.h"
-#include "dfs/runner/jobs_flag.h"
 #include "dfs/runner/sweep.h"
+#include "dfs/runner/thread_pool.h"
 #include "dfs/storage/failure.h"
+#include "dfs/util/args.h"
 #include "dfs/util/stats.h"
 #include "dfs/util/table.h"
 #include "dfs/workload/scenarios.h"
 
 namespace dfs::bench {
 
-/// Parses "--seeds N" (defaulting to `def`, the paper uses 30 samples per
-/// boxplot) so CI and quick local runs can shrink the sweep.
-inline int seeds_from_args(int argc, char** argv, int def = 30) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0) return std::atoi(argv[i + 1]);
+/// The flags every figure harness takes.
+struct HarnessFlags {
+  int seeds = 0;  ///< --seeds N, or DFS_BENCH_SEEDS
+  int jobs = 0;   ///< --jobs N, or DFS_BENCH_JOBS (default: every thread)
+  bool quick = false;
+};
+
+/// Count from environment variable `name`, or `def` when it is unset. Like
+/// a bad flag, anything but a whole number >= 1 exits 2 with a named error.
+inline int env_count(const char* name, int def) {
+  const char* text = std::getenv(name);
+  try {
+    const int value = text ? util::parse_number<int>(name, text) : def;
+    if (value >= 1) return value;
+    std::cerr << "bench: " << name << " must be >= 1\n";
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bench: " << e.what() << "\n";
   }
-  const char* env = std::getenv("DFS_BENCH_SEEDS");
-  if (env != nullptr) return std::atoi(env);
-  return def;
+  std::exit(2);
 }
 
-/// Parses "--jobs N" for the sweep harnesses (default: every hardware
-/// thread; DFS_BENCH_JOBS honored like DFS_BENCH_SEEDS). Exits with a usage
-/// error on 0 / negative / non-numeric input, matching the tools.
-inline int jobs_from_args(int argc, char** argv) {
-  const char* text = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) text = argv[i + 1];
+/// Parses the harness flags. `default_seeds` (the paper uses 30 samples per
+/// boxplot) applies when neither --seeds nor DFS_BENCH_SEEDS is set; a
+/// harness that passes `quick_seeds` > 0 also takes --quick, which lowers
+/// that default to `quick_seeds`. A bad command line exits 2 with a named
+/// error, like the tools.
+inline HarnessFlags harness_flags(int argc, char** argv, int default_seeds = 30,
+                                  int quick_seeds = 0) {
+  HarnessFlags h{default_seeds, runner::default_jobs(), false};
+  util::FlagTable flags("bench", "figure harness");
+  flags.add("seeds", &h.seeds, "independent runs per cell", util::at_least(1));
+  flags.add("jobs", &h.jobs, "sweep worker threads", util::at_least(1));
+  if (quick_seeds > 0) flags.add("quick", &h.quick, "CI-sized run");
+  flags.parse_or_exit(argc, argv, 2);
+  if (!flags.given(&h.seeds)) {
+    h.seeds =
+        env_count("DFS_BENCH_SEEDS", h.quick ? quick_seeds : default_seeds);
   }
-  if (text == nullptr) text = std::getenv("DFS_BENCH_JOBS");
-  if (text == nullptr) return runner::default_jobs();
-  const auto jobs = runner::parse_jobs(text);
-  if (!jobs) {
-    std::cerr << "bench: " << runner::jobs_error() << "\n";
-    std::exit(2);
-  }
-  return *jobs;
+  if (!flags.given(&h.jobs)) h.jobs = env_count("DFS_BENCH_JOBS", h.jobs);
+  return h;
 }
 
 /// Process-wide sweep pool, sized by the first call (pass the value from
-/// jobs_from_args). Later calls reuse the same pool whatever they pass.
+/// harness_flags). Later calls reuse the same pool whatever they pass.
 inline runner::ThreadPool& sweep_pool(int jobs) {
   static runner::ThreadPool pool(jobs);
   return pool;

@@ -88,8 +88,9 @@ std::function<storage::FailureScenario(util::Rng&)> single_failure(
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_seeds = bench::seeds_from_args(argc, argv);
-  g_jobs = bench::jobs_from_args(argc, argv);
+  const auto flags = bench::harness_flags(argc, argv);
+  g_seeds = flags.seeds;
+  g_jobs = flags.jobs;
   std::cout << "Figure 7: simulation, normalized runtimes over " << g_seeds
             << " random configurations per setting\n"
             << "Cluster: 40 nodes / 4 racks, 1 Gbps racks, 128 MB blocks, "

@@ -103,8 +103,9 @@ void print_panel(const std::string& title, const SchemeStats& homo_bdf,
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_seeds = bench::seeds_from_args(argc, argv);
-  g_jobs = bench::jobs_from_args(argc, argv);
+  const auto flags = bench::harness_flags(argc, argv);
+  g_seeds = flags.seeds;
+  g_jobs = flags.jobs;
   std::cout << "Figure 8: BDF vs EDF vs LF, single-node failure, " << g_seeds
             << " samples per setting\n";
 

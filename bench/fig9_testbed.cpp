@@ -39,7 +39,7 @@ Bar bar(const std::vector<double>& xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_runs = bench::seeds_from_args(argc, argv, 5);
+  g_runs = bench::harness_flags(argc, argv, 5).seeds;
   const auto cfg = workload::testbed_cluster();
   core::LocalityFirstScheduler lf;
   auto edf = core::DegradedFirstScheduler::enhanced();

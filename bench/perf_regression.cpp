@@ -24,13 +24,10 @@
 //     the report) on machines with fewer than two hardware threads, where
 //     the "speedup" would only measure thread overhead.
 //
-// The JSON report goes to --out (default BENCH_perf.json). With --baseline
-// PATH the run compares its kernel and network events/sec against the
-// committed baseline and exits 1 if any workload regressed by more than
-// --max-regress (default 0.25, i.e. 25%) — the CI perf gate.
-//
-// Usage: perf_regression [--quick] [--out PATH] [--baseline PATH]
-//        [--max-regress X] [--jobs N] [--seeds N]
+// The JSON report goes to --out. With --baseline PATH the run compares its
+// kernel and network events/sec against the committed baseline and exits 1
+// if any workload regressed by more than --max-regress — the CI perf gate.
+// `perf_regression --help` lists the flags and their defaults.
 
 #include <algorithm>
 #include <chrono>
@@ -411,38 +408,26 @@ int usage_error(const std::string& message) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  if (args.has("help")) {
-    std::cout << "perf_regression - event-kernel + sweep-runner perf harness\n"
-                 "  --quick            smaller workloads (CI-sized)\n"
-                 "  --out PATH         JSON report path [BENCH_perf.json]\n"
-                 "  --baseline PATH    compare kernel events/sec against a\n"
-                 "                     committed report; exit 1 on regression\n"
-                 "  --max-regress X    allowed fractional regression [0.25]\n"
-                 "  --jobs N           parallel sweep width [hardware]\n"
-                 "  --seeds N          macro sweep cells [8, quick: 4]\n";
-    return 0;
-  }
-  const bool quick = args.has("quick");
-  const std::string out_path = args.get_or("out", "BENCH_perf.json");
-  const auto baseline_path = args.get("baseline");
-  double max_regress = 0.0;
-  int seeds = 0;
-  try {
-    max_regress = args.get_double("max-regress", 0.25);
-    seeds = args.get_int("seeds", quick ? 4 : 8);
-  } catch (const std::invalid_argument& e) {
-    return usage_error(e.what());
-  }
-  const auto jobs = runner::jobs_from_args(args);
-  if (!jobs) return usage_error(runner::jobs_error());
-  if (seeds < 1) return usage_error("--seeds must be >= 1");
-  if (max_regress < 0.0 || max_regress >= 1.0) {
-    return usage_error("--max-regress must be in [0, 1)");
-  }
-  if (const auto unknown = args.unrecognized(); !unknown.empty()) {
-    return usage_error("unknown flag --" + unknown.front());
-  }
+  bool quick = false;
+  std::string out_path = "BENCH_perf.json";
+  std::optional<std::string> baseline_path;
+  double max_regress = 0.25;
+  int jobs = runner::default_jobs(), seeds = 8;
+  util::FlagTable flags("perf_regression",
+                        "event-kernel + sweep-runner perf harness");
+  flags.add("quick", &quick, "smaller workloads (CI-sized)");
+  flags.add("out", &out_path, "JSON report path");
+  flags.add("baseline", &baseline_path,
+            "committed report to gate events/sec against; exit 1 on "
+            "regression");
+  flags.add("max-regress", &max_regress, "allowed fractional regression",
+            util::in_half_open(0, 1));
+  flags.add("jobs", &jobs, "parallel sweep width", util::at_least(1));
+  flags.add("seeds", &seeds, "macro sweep cells (4 with --quick)",
+            util::at_least(1));
+  flags.add_help();
+  flags.parse_or_exit(argc, argv, 2);
+  if (quick && !flags.given(&seeds)) seeds = 4;
 
   // --- kernel micro ---------------------------------------------------------
   const int events = quick ? 100000 : 200000;
@@ -510,8 +495,8 @@ int main(int argc, char** argv) {
   double parallel_seconds = 0.0;
   bool deterministic = true;
   if (run_parallel) {
-    std::cerr << "macro: parallel sweep, --jobs " << *jobs << "\n";
-    runner::ThreadPool parallel_pool(*jobs);
+    std::cerr << "macro: parallel sweep, --jobs " << jobs << "\n";
+    runner::ThreadPool parallel_pool(jobs);
     const auto parallel_start = Clock::now();
     const auto parallel_results =
         runner::sweep(parallel_pool, static_cast<std::size_t>(seeds),
@@ -580,7 +565,7 @@ int main(int argc, char** argv) {
        << "    \"parallel_skipped\": " << (run_parallel ? "false" : "true");
   if (run_parallel) {
     json << ",\n"
-         << "    \"parallel_jobs\": " << *jobs << ",\n"
+         << "    \"parallel_jobs\": " << jobs << ",\n"
          << "    \"parallel_seconds\": " << parallel_seconds << ",\n"
          << "    \"speedup\": " << speedup << ",\n"
          << "    \"deterministic\": " << (deterministic ? "true" : "false")

@@ -19,17 +19,15 @@
 // Node MTTF is scaled so a handful of failures land inside the window, the
 // same regime as the paper-scale defaults.
 //
-// The JSON report goes to --out (default BENCH_scale.json). With --baseline
-// PATH the run compares its events/sec and peak RSS against the committed
-// baseline and exits 1 if any section's events/sec fell, or its peak RSS
-// grew, by more than --max-regress (default 0.25) — the CI scale gate.
+// The JSON report goes to --out. With --baseline PATH the run compares its
+// events/sec and peak RSS against the committed baseline and exits 1 if any
+// section's events/sec fell, or its peak RSS grew, by more than
+// --max-regress — the CI scale gate.
 // With --prev PATH (a report produced by this same harness on an older
 // build) the full section embeds that run's events/sec, wall time and peak
 // RSS and the resulting speedup, recording pre/post comparisons measured by
-// the same harness on the same hardware.
-//
-// Usage: scale_regression [--quick] [--out PATH] [--baseline PATH]
-//        [--max-regress X] [--prev PATH] [--seed N]
+// the same harness on the same hardware. `scale_regression --help` lists
+// the flags and their defaults.
 
 #include <sys/resource.h>
 
@@ -175,38 +173,24 @@ bool read_file(const std::string& path, std::string& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  if (args.has("help")) {
-    std::cout << "scale_regression - 10k-slave cluster macro perf harness\n"
-                 "  --quick            2k-slave case only (CI-sized)\n"
-                 "  --out PATH         JSON report path [BENCH_scale.json]\n"
-                 "  --baseline PATH    compare events/sec and peak RSS against\n"
-                 "                     a committed report; exit 1 on regression\n"
-                 "  --max-regress X    allowed fractional regression [0.25]\n"
-                 "  --prev PATH        embed a prior report's full-case\n"
-                 "                     events/sec, wall time and peak RSS +\n"
-                 "                     the speedup over it\n"
-                 "  --seed N           arrival/placement seed [1]\n";
-    return 0;
-  }
-  const bool quick = args.has("quick");
-  const std::string out_path = args.get_or("out", "BENCH_scale.json");
-  const auto baseline_path = args.get("baseline");
-  const auto prev_path = args.get("prev");
-  double max_regress = 0.0;
-  std::uint64_t seed = 0;
-  try {
-    max_regress = args.get_double("max-regress", 0.25);
-    seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  } catch (const std::invalid_argument& e) {
-    return usage_error(e.what());
-  }
-  if (max_regress < 0.0 || max_regress >= 1.0) {
-    return usage_error("--max-regress must be in [0, 1)");
-  }
-  if (const auto unknown = args.unrecognized(); !unknown.empty()) {
-    return usage_error("unknown flag --" + unknown.front());
-  }
+  bool quick = false;
+  std::string out_path = "BENCH_scale.json";
+  std::optional<std::string> baseline_path, prev_path;
+  double max_regress = 0.25;
+  std::uint64_t seed = 1;
+  util::FlagTable flags("scale_regression",
+                        "10k-slave cluster macro perf harness");
+  flags.add("quick", &quick, "2k-slave case only (CI-sized)");
+  flags.add("out", &out_path, "JSON report path");
+  flags.add("baseline", &baseline_path,
+            "committed report to gate events/sec and peak RSS against");
+  flags.add("max-regress", &max_regress, "allowed fractional regression",
+            util::in_half_open(0, 1));
+  flags.add("prev", &prev_path,
+            "prior report whose full case the speedup is measured against");
+  flags.add("seed", &seed, "arrival/placement seed");
+  flags.add_help();
+  flags.parse_or_exit(argc, argv, 2);
 
   // Quick first so the full case's peak-RSS reading is not polluted by a
   // later, smaller allocation pattern (ru_maxrss is a process high-water).

@@ -42,7 +42,7 @@ struct Breakdown {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int runs = bench::seeds_from_args(argc, argv, 5);
+  const int runs = bench::harness_flags(argc, argv, 5).seeds;
   const auto cfg = workload::testbed_cluster();
   core::LocalityFirstScheduler lf;
   auto edf = core::DegradedFirstScheduler::enhanced();

@@ -45,26 +45,10 @@ std::unique_ptr<AdmissionPolicy> make_admission_policy(
   if (spec == "fair") return std::make_unique<WeightedFairAdmission>();
   const std::string prefix = "fair:";
   if (spec.rfind(prefix, 0) == 0) {
-    const std::vector<std::string> pieces =
-        util::split(spec.substr(prefix.size()), ',');
-    if (pieces.empty()) {
-      throw std::invalid_argument("admission 'fair:' needs weights");
-    }
-    std::vector<double> weights;
-    for (const std::string& piece : pieces) {
-      std::size_t used = 0;
-      double w = 0.0;
-      try {
-        w = std::stod(piece, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used == 0 || used != piece.size()) {
-        throw std::invalid_argument("bad admission weight: '" + piece + "'");
-      }
-      weights.push_back(w);
-    }
-    return std::make_unique<WeightedFairAdmission>(std::move(weights));
+    // Weights parse as strictly as any numeric flag; WeightedFairAdmission
+    // rejects the non-positive ones.
+    return std::make_unique<WeightedFairAdmission>(
+        util::parse_double_list("--admission", spec.substr(prefix.size())));
   }
   throw std::invalid_argument("unknown admission policy: " + spec +
                               " (expected fifo | fair | fair:w0,w1,...)");

@@ -1,9 +1,6 @@
 #include "dfs/ec/registry.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
-#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "dfs/ec/cauchy.h"
@@ -15,25 +12,6 @@
 
 namespace dfs::ec {
 
-namespace {
-
-/// Strict whole-string decimal parse; nullopt on empty input, stray
-/// characters, or overflow — a malformed spec, not an invalid parameter.
-std::optional<int> parse_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  if (v < static_cast<long>(std::numeric_limits<int>::min()) ||
-      v > static_cast<long>(std::numeric_limits<int>::max())) {
-    return std::nullopt;
-  }
-  return static_cast<int>(v);
-}
-
-}  // namespace
-
 std::shared_ptr<ErasureCode> make_code_from_spec(const std::string& spec) {
   const auto colon = spec.find(':');
   const std::string family = spec.substr(0, colon);
@@ -44,9 +22,11 @@ std::shared_ptr<ErasureCode> make_code_from_spec(const std::string& spec) {
   std::vector<int> params;
   params.reserve(raw.size());
   for (const std::string& p : raw) {
-    const auto v = parse_int(p);
-    if (!v) return nullptr;  // non-numeric parameter: malformed spec
-    params.push_back(*v);
+    try {
+      params.push_back(util::parse_number<int>("", p));
+    } catch (const std::invalid_argument&) {
+      return nullptr;  // not a whole decimal int: malformed spec
+    }
   }
   const auto num = [&](std::size_t i) { return params[i]; };
   if (family == "rs" && params.size() == 2) {
@@ -75,6 +55,20 @@ std::shared_ptr<ErasureCode> make_code_from_spec(const std::string& spec) {
 
 const char* code_spec_help() {
   return "rs:n,k | rs16:n,k | crs:n,k | lrc:k,l,r | hh:n,k | xor:k | rep:r";
+}
+
+util::FlagTable::Parser code_flag(std::shared_ptr<ErasureCode>& code) {
+  return [&code](const std::string& flag, const std::string& spec) {
+    try {
+      code = make_code_from_spec(spec);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("bad " + flag + " parameters: " + e.what());
+    }
+    if (!code) {
+      throw std::invalid_argument("bad " + flag + " spec (" +
+                                  code_spec_help() + ")");
+    }
+  };
 }
 
 }  // namespace dfs::ec

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "dfs/ec/erasure_code.h"
+#include "dfs/util/args.h"
 
 namespace dfs::ec {
 
@@ -28,5 +29,9 @@ std::shared_ptr<ErasureCode> make_code_from_spec(const std::string& spec);
 
 /// Human-readable list of accepted spec formats (for tool usage messages).
 const char* code_spec_help();
+
+/// FlagTable parser for a --code flag: sets `code` from the spec, and
+/// throws std::invalid_argument naming the flag on either kind of bad spec.
+util::FlagTable::Parser code_flag(std::shared_ptr<ErasureCode>& code);
 
 }  // namespace dfs::ec

@@ -20,6 +20,9 @@ Master::Master(sim::Simulator& simulator, net::Network& network,
       rng_(rng),
       selection_(selection),
       cost_model_(cost_model) {
+  if (config.map_slots_per_node < 1) {
+    throw std::invalid_argument("Master: map_slots_per_node must be >= 1");
+  }
   state_.hooks = &hooks;
   map_.wire(shuffle_, fault_);
   shuffle_.wire(fault_);

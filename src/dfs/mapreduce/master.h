@@ -24,6 +24,9 @@ namespace dfs::mapreduce {
 ///   job abort, in-flight read re-planning.
 class Master final : public core::SchedulerContext {
  public:
+  /// Throws std::invalid_argument if config.map_slots_per_node < 1: the
+  /// heartbeats keep rescheduling themselves, so a cluster without map slots
+  /// would neither drain nor trip the simulation's stall check.
   Master(sim::Simulator& simulator, net::Network& network,
          const ClusterConfig& config, const storage::FailureScenario& failure,
          core::Scheduler& scheduler, util::Rng& rng,

@@ -20,6 +20,8 @@ inline constexpr NodeId kInvalidNode = -1;
 class Topology {
  public:
   /// Uniform topology: `racks` racks of `nodes_per_rack` nodes each.
+  /// Both constructors throw std::invalid_argument on no racks or a rack
+  /// without nodes.
   Topology(int racks, int nodes_per_rack);
 
   /// Explicit topology: `rack_sizes[r]` nodes in rack r.

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 
 #include "dfs/core/degraded_first.h"
 #include "dfs/core/locality_first.h"
@@ -51,6 +52,19 @@ struct SmallCluster {
 RunResult run_one(const SmallCluster& sc, const storage::FailureScenario& f,
                   core::Scheduler& sched, std::uint64_t seed) {
   return simulate(sc.cfg, {sc.job}, f, sched, seed);
+}
+
+TEST(MapReduce, MasterRejectsClusterWithoutMapSlots) {
+  // Heartbeats reschedule forever, so a run with no map slots would spin
+  // instead of finishing or tripping the stall check.
+  SmallCluster sc;
+  sc.cfg.map_slots_per_node = 0;
+  core::LocalityFirstScheduler lf;
+  EXPECT_THROW(run_one(sc, storage::no_failure(), lf, 1),
+               std::invalid_argument);
+  sc.cfg.map_slots_per_node = -1;
+  EXPECT_THROW(run_one(sc, storage::no_failure(), lf, 1),
+               std::invalid_argument);
 }
 
 // --- basic execution invariants ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -37,6 +38,18 @@ TEST(Topology, UnevenRacks) {
   EXPECT_EQ(t.rack_of(2), 0);
   EXPECT_EQ(t.rack_of(3), 1);
   EXPECT_EQ(t.nodes_in_rack(1), (std::vector<NodeId>{3, 4}));
+}
+
+TEST(Topology, RejectsEmptyOrNonPositiveSizes) {
+  // Checked in Release builds too: asserts are compiled out there, and a
+  // negative rack count used to end in an uncaught std::length_error.
+  EXPECT_THROW(Topology(0, 10), std::invalid_argument);
+  EXPECT_THROW(Topology(-2, 10), std::invalid_argument);
+  EXPECT_THROW(Topology(4, 0), std::invalid_argument);
+  EXPECT_THROW(Topology(4, -1), std::invalid_argument);
+  EXPECT_THROW(Topology(std::vector<int>{}), std::invalid_argument);
+  EXPECT_THROW(Topology(std::vector<int>{3, 0, 2}), std::invalid_argument);
+  EXPECT_EQ(Topology(1, 1).num_nodes(), 1);
 }
 
 // --- network helpers -----------------------------------------------------------

@@ -2,13 +2,13 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "dfs/runner/jobs_flag.h"
 #include "dfs/runner/sweep.h"
 #include "dfs/runner/thread_pool.h"
 #include "dfs/util/args.h"
@@ -105,6 +105,27 @@ TEST(Sweep, PropagatesFirstException) {
 }
 
 // --- --jobs parsing ----------------------------------------------------------
+// The --jobs row exactly as the tools and harnesses declare it; nullopt means
+// the table rejected the command line.
+
+std::optional<int> jobs_from_argv(std::vector<std::string> argv) {
+  int jobs = default_jobs();
+  util::FlagTable flags("test", "");
+  flags.add("jobs", &jobs, "worker threads", util::at_least(1));
+  argv.insert(argv.begin(), "test");
+  std::vector<const char*> ptrs;
+  for (const auto& s : argv) ptrs.push_back(s.c_str());
+  try {
+    flags.parse(static_cast<int>(ptrs.size()), ptrs.data());
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  return jobs;
+}
+
+std::optional<int> parse_jobs(const std::string& text) {
+  return jobs_from_argv({"--jobs", text});
+}
 
 TEST(JobsFlag, ParseAcceptsPositiveIntegers) {
   EXPECT_EQ(parse_jobs("1"), 1);
@@ -123,29 +144,20 @@ TEST(JobsFlag, ParseRejectsZeroNegativeAndJunk) {
   EXPECT_FALSE(parse_jobs("99999999999999999999"));  // overflow
 }
 
-util::Args make_args(std::vector<std::string> argv) {
-  argv.insert(argv.begin(), "test");
-  std::vector<char*> ptrs;
-  ptrs.reserve(argv.size());
-  for (auto& s : argv) ptrs.push_back(s.data());
-  return util::Args(static_cast<int>(ptrs.size()), ptrs.data());
-}
-
 TEST(JobsFlag, FromArgsDefaultsWhenAbsent) {
-  const auto args = make_args({});
-  EXPECT_EQ(jobs_from_args(args), default_jobs());
+  EXPECT_EQ(jobs_from_argv({}), default_jobs());
 }
 
 TEST(JobsFlag, FromArgsReadsValue) {
-  const auto args = make_args({"--jobs", "3"});
-  EXPECT_EQ(jobs_from_args(args), 3);
+  EXPECT_EQ(jobs_from_argv({"--jobs", "3"}), 3);
+  EXPECT_EQ(jobs_from_argv({"--jobs=5"}), 5);
 }
 
 TEST(JobsFlag, FromArgsRejectsBadValues) {
-  EXPECT_FALSE(jobs_from_args(make_args({"--jobs", "0"})));
-  EXPECT_FALSE(jobs_from_args(make_args({"--jobs", "nope"})));
+  EXPECT_FALSE(jobs_from_argv({"--jobs", "0"}));
+  EXPECT_FALSE(jobs_from_argv({"--jobs", "nope"}));
   // A bare --jobs with no value is a user error, not a default request.
-  EXPECT_FALSE(jobs_from_args(make_args({"--jobs"})));
+  EXPECT_FALSE(jobs_from_argv({"--jobs"}));
 }
 
 // --- tool-level determinism --------------------------------------------------

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
-
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -433,32 +433,30 @@ std::vector<const char*> argv_of(std::initializer_list<const char*> parts) {
 TEST(Args, ParsesSpaceAndEqualsForms) {
   const auto v = argv_of({"--seeds", "12", "--code=rs:6,4", "file.txt"});
   const Args args(static_cast<int>(v.size()), v.data());
-  EXPECT_EQ(args.get_int("seeds", 0), 12);
-  EXPECT_EQ(args.get_or("code", ""), "rs:6,4");
-  ASSERT_EQ(args.positional().size(), 1u);
-  EXPECT_EQ(args.positional()[0], "file.txt");
+  EXPECT_EQ(args.get("seeds"), "12");
+  EXPECT_EQ(args.get("code"), "rs:6,4");
+  EXPECT_TRUE(args.unrecognized().empty());  // file.txt is not a flag
 }
 
 TEST(Args, DefaultsWhenAbsent) {
   const auto v = argv_of({});
   const Args args(static_cast<int>(v.size()), v.data());
-  EXPECT_EQ(args.get_int("seeds", 30), 30);
-  EXPECT_DOUBLE_EQ(args.get_double("shuffle", 0.01), 0.01);
   EXPECT_FALSE(args.get("anything").has_value());
-  EXPECT_FALSE(args.has("flag"));
+  EXPECT_TRUE(args.unrecognized().empty());
 }
 
 TEST(Args, BooleanFlagWithoutValue) {
   const auto v = argv_of({"--normalize", "--seeds", "3"});
   const Args args(static_cast<int>(v.size()), v.data());
-  EXPECT_TRUE(args.has("normalize"));
-  EXPECT_EQ(args.get_int("seeds", 0), 3);
+  EXPECT_FALSE(args.get("normalize").has_value());
+  EXPECT_EQ(args.get("seeds"), "3");
+  EXPECT_TRUE(args.unrecognized().empty());
 }
 
 TEST(Args, UnrecognizedReportsUnqueriedFlags) {
   const auto v = argv_of({"--seeds", "3", "--tpyo", "x"});
   const Args args(static_cast<int>(v.size()), v.data());
-  (void)args.get_int("seeds", 0);
+  (void)args.get("seeds");
   const auto unknown = args.unrecognized();
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "tpyo");
@@ -471,19 +469,191 @@ TEST(Args, SplitBasics) {
   EXPECT_EQ(split("x,,y", ','), (std::vector<std::string>{"x", "", "y"}));
 }
 
+/// Parses `parts` against `flags`, returning the error text ("" on success).
+std::string parse_error(FlagTable& flags, std::vector<const char*> v,
+                        std::vector<std::string>* positional = nullptr) {
+  v.insert(v.begin(), "prog");
+  try {
+    flags.parse(static_cast<int>(v.size()), v.data(), positional);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Args, NumericGettersRejectMalformedValues) {
   // atoi/atof would have read these as 2, 1 and 0: a strict whole-token
   // parse throws instead, naming the flag.
-  const auto v = argv_of({"--seeds", "2x", "--hours", "1,5", "--skew", ""});
-  const Args args(static_cast<int>(v.size()), v.data());
-  try {
-    (void)args.get_int("seeds", 1);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "--seeds: expected an integer, got '2x'");
+  int seeds = 1;
+  double hours = 2.0, skew = 0.0;
+  const auto table = [&] {
+    FlagTable flags("t", "");
+    flags.add("seeds", &seeds, "");
+    flags.add("hours", &hours, "");
+    flags.add("skew", &skew, "");
+    return flags;
+  };
+  auto a = table(), b = table(), c = table();
+  EXPECT_EQ(parse_error(a, {"--seeds", "2x"}),
+            "--seeds: expected an integer, got '2x'");
+  EXPECT_EQ(parse_error(b, {"--hours", "1,5"}),
+            "--hours: expected a finite number, got '1,5'");
+  EXPECT_EQ(parse_error(c, {"--skew", ""}),
+            "--skew: expected a finite number, got ''");
+  EXPECT_EQ(seeds, 1);
+  EXPECT_EQ(hours, 2.0);
+}
+
+// --- flag table --------------------------------------------------------------
+
+TEST(FlagTable, SetsEveryRowKind) {
+  int n = 1;
+  std::uint64_t seed = 1;
+  double x = 0.5;
+  std::string word = "a";
+  std::optional<std::string> path;
+  bool on = false;
+  std::vector<double> list;
+  std::string spec;
+  FlagTable flags("t", "");
+  flags.add("n", &n, "");
+  flags.add("seed", &seed, "");
+  flags.add("x", &x, "");
+  flags.add("word", &word, "");
+  flags.add("path", &path, "");
+  flags.add("on", &on, "");
+  flags.add("list", &list, "");
+  flags.add(
+      "spec", "def",
+      [&spec](const std::string& flag, const std::string& text) {
+        spec = flag + "=" + text;
+      },
+      "");
+  EXPECT_EQ(spec, "--spec=def");  // the default went through the parser
+  std::vector<std::string> positional;
+  EXPECT_EQ(parse_error(flags,
+                        {"--n", "-7", "in.bin", "--seed=18446744073709551615",
+                         "--x", "-2.5", "--word", "b", "--path=", "--on",
+                         "--list", "3,0.25", "--spec", "s:1", "out/"},
+                        &positional),
+            "");
+  EXPECT_EQ(n, -7);
+  EXPECT_EQ(seed, 18446744073709551615ull);
+  EXPECT_EQ(x, -2.5);
+  EXPECT_EQ(word, "b");
+  EXPECT_EQ(path, "");
+  EXPECT_TRUE(on);
+  EXPECT_EQ(list, (std::vector<double>{3.0, 0.25}));
+  EXPECT_EQ(spec, "--spec=s:1");
+  EXPECT_EQ(positional, (std::vector<std::string>{"in.bin", "out/"}));
+}
+
+TEST(FlagTable, RejectsUnknownRepeatedMissingAndStrayArguments) {
+  int n = 0;
+  bool on = false;
+  const auto table = [&] {
+    FlagTable flags("t", "");
+    flags.add("n", &n, "");
+    flags.add("on", &on, "");
+    return flags;
+  };
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases{
+      {{"--tpyo", "1"}, "unknown flag --tpyo"},
+      {{"--n", "1", "--n", "2"}, "--n given twice"},
+      {{"--n"}, "--n needs a value"},
+      {{"--n", "--on"}, "--n needs a value"},
+      {{"--on=1"}, "--on takes no value"},
+      {{"stray"}, "unexpected argument 'stray'"},
+      {{"--on", "stray"}, "--on takes no value"},  // a switch eats no word
+  };
+  for (const auto& [parts, message] : cases) {
+    auto flags = table();
+    EXPECT_EQ(parse_error(flags, parts), message);
   }
-  EXPECT_THROW((void)args.get_double("hours", 2.0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_double("skew", 0.0), std::invalid_argument);
+}
+
+TEST(FlagTable, BoundsRejectOutOfRangeValues) {
+  int count = 1;
+  double rate = 1.0, frac = 0.0, prob = 0.0;
+  std::uint64_t big = 0;
+  std::string mode = "fair";
+  std::vector<double> weights;
+  const auto table = [&] {
+    FlagTable flags("t", "");
+    flags.add("count", &count, "", at_least(1));
+    flags.add("rate", &rate, "", above(0));
+    flags.add("frac", &frac, "", in_range(0, 1));
+    flags.add("prob", &prob, "", in_half_open(0, 1));
+    flags.add("big", &big, "", at_least(2));
+    flags.add("mode", &mode, "", one_of({"fair", "fifo"}));
+    flags.add("weights", &weights, "", above(0));
+    return flags;
+  };
+  const std::vector<std::pair<std::vector<const char*>, std::string>>
+      rejected = {
+          {{"--count", "0"}, "--count must be >= 1"},
+          {{"--count", "-3"}, "--count must be >= 1"},
+          {{"--rate", "0"}, "--rate must be > 0"},
+          {{"--frac", "1.5"}, "--frac must be in [0, 1]"},
+          {{"--frac", "-0.1"}, "--frac must be in [0, 1]"},
+          {{"--prob", "1"}, "--prob must be in [0, 1)"},
+          {{"--big", "1"}, "--big must be >= 2"},
+          {{"--mode", "lifo"}, "unknown --mode lifo"},
+          {{"--weights", "1,0"}, "--weights must be > 0"},
+      };
+  for (const auto& [parts, message] : rejected) {
+    auto flags = table();
+    EXPECT_EQ(parse_error(flags, parts), message);
+  }
+  auto flags = table();
+  EXPECT_EQ(parse_error(flags, {"--count", "1", "--rate", "1e-9", "--frac",
+                                "1", "--prob", "0", "--big",
+                                "18446744073709551615", "--mode", "fifo",
+                                "--weights", "3,1"}),
+            "");
+  EXPECT_EQ(frac, 1.0);
+  EXPECT_EQ(big, 18446744073709551615ull);
+  EXPECT_EQ(mode, "fifo");
+}
+
+TEST(FlagTable, GivenTracksTheCommandLine) {
+  int a = 1, b = 2;
+  FlagTable flags("t", "");
+  flags.add("a", &a, "");
+  flags.add("b", &b, "");
+  EXPECT_EQ(parse_error(flags, {"--b", "2"}), "");
+  EXPECT_FALSE(flags.given(&a));
+  EXPECT_TRUE(flags.given(&b));  // given, even at its default value
+}
+
+TEST(FlagTable, HelpIsOneLinePerRowWithBoundAndDefault) {
+  int slots = 4;
+  double ratio = 0.01;
+  std::string mode = "fair";
+  bool on = false;
+  std::optional<std::string> path;
+  std::vector<double> shares;
+  FlagTable flags("prog", "a test program");
+  flags.add("slots", &slots, "slots per node", at_least(1));
+  flags.add("ratio", &ratio, "shuffle ratio", in_half_open(0, 1));
+  flags.add("mode", &mode, "contention", one_of({"fair", "fifo"}));
+  flags.add("on", &on, "a switch");
+  flags.add("path", &path, "output path");
+  flags.add("shares", &shares, "per-class shares", above(0));
+  flags.add("time", "20,1", [](const std::string&, const std::string&) {},
+            "MEAN,SD");
+  std::ostringstream out;
+  flags.print_help(out);
+  const std::string expected =
+      "prog - a test program\n"
+      "  --slots N                  slots per node (>= 1) [4]\n"
+      "  --ratio X                  shuffle ratio (in [0, 1)) [0.01]\n"
+      "  --mode STR                 contention (fair | fifo) [fair]\n"
+      "  --on                       a switch\n"
+      "  --path STR                 output path\n"
+      "  --shares X,..              per-class shares (> 0)\n"
+      "  --time SPEC                MEAN,SD [20,1]\n";
+  EXPECT_EQ(out.str(), expected);
 }
 
 TEST(Args, ParseNumberAcceptsWholeTokensOnly) {

@@ -224,31 +224,17 @@ int cmd_decode(const ec::ErasureCode& code, const fs::path& dir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const auto& pos = args.positional();
+  std::shared_ptr<ec::ErasureCode> code;
+  int block_kb = 64;
+  std::vector<std::string> pos;
+  util::FlagTable flags("dfsec", "file-level erasure coder");
+  flags.add("code", "rs:6,4", ec::code_flag(code), ec::code_spec_help());
+  flags.add("block-kb", &block_kb, "block size in KiB", util::at_least(1));
+  flags.parse_or_exit(argc, argv, 1, &pos);
   if (pos.empty()) {
     return fail(
         "usage: dfsec <encode|verify|repair|decode> --code rs:n,k "
         "[--block-kb N] <paths...>");
-  }
-  std::shared_ptr<ec::ErasureCode> code;
-  try {
-    code = ec::make_code_from_spec(args.get_or("code", "rs:6,4"));
-  } catch (const std::invalid_argument& e) {
-    return fail(std::string("bad --code parameters: ") + e.what());
-  }
-  if (!code) {
-    return fail(std::string("bad --code spec (") + ec::code_spec_help() + ")");
-  }
-  int block_kb = 0;
-  try {
-    block_kb = args.get_int("block-kb", 64);
-  } catch (const std::invalid_argument& e) {
-    return fail(e.what());
-  }
-  if (block_kb < 1) return fail("--block-kb must be >= 1");
-  if (const auto unknown = args.unrecognized(); !unknown.empty()) {
-    return fail("unknown flag --" + unknown.front());
   }
   const std::size_t block_bytes = static_cast<std::size_t>(block_kb) * 1024;
 

@@ -2,56 +2,11 @@
 // line, without writing any C++.
 //
 //   dfsim --scheduler EDF --failure node --seeds 10
-//   dfsim --racks 3 --nodes-per-rack 4 --code rs:12,10 --blocks 240
+//   dfsim --racks 6 --nodes-per-rack 4 --code rs:12,10 --blocks 240
 //         --block-mb 64 --bandwidth-mbps 250 --scheduler LF --csv out/run
 //
-// Flags (defaults follow the paper's §V-B simulation setup):
-//   --racks N             racks in the cluster              [4]
-//   --nodes-per-rack N    nodes per rack                    [10]
-//   --map-slots N         map slots per node                [4]
-//   --reduce-slots N      reduce slots per node             [1]
-//   --block-mb N          block size in MiB                 [128]
-//   --bandwidth-mbps X    rack up/down bandwidth            [1000]
-//   --node-bandwidth-mbps X  node link bandwidth (0 = unlimited) [0]
-//   --contention MODEL    fair | fifo                       [fair]
-//   --heartbeat X         heartbeat interval in seconds     [3]
-//   --blocks F            native blocks (= map tasks)       [1440]
-//   --code SPEC           rs:n,k | crs:n,k | lrc:k,l,r | hh:n,k | rep:r
-//                                                           [rs:20,15]
-//   --placement P         random | roundrobin | replicated  [random]
-//   --reducers N          reduce tasks                      [30]
-//   --shuffle X           shuffle ratio (fraction of block) [0.01]
-//   --map-time M,SD       map processing time, normal dist  [20,1]
-//   --reduce-time M,SD    reduce processing time            [30,2]
-//   --scheduler S         LF | BDF | EDF | DELAY            [LF]
-//   --failure F           none | node | 2node | rack        [node]
-//   --seeds N             independent runs                  [10]
-//   --jobs N              worker threads for the seed sweep
-//                         [all hardware threads; output is byte-identical
-//                          for any value — seeds are independent cells]
-//   --sources POLICY      random | samerack                 [random]
-//   --planner P           cheapest | fullshard: degraded-read planning;
-//                         fullshard disables sub-shard recovery options
-//                         (every source fetches whole blocks)  [cheapest]
-//   --cross-rack-cost X   cost-model weight of a cross-rack fetch relative
-//                         to an in-rack fetch (1 = neutral)    [1]
-//   --recovery-stats      print one recovery_stats JSON line per seed
-//                         (degraded fetch volume in block units)
-//   --speed-profile SPEC  per-node speed profile: uniform |
-//                         bimodal:FRAC,SLOWDOWN[,SEED] | vector:F0,F1,...
-//                         (when active, the map-task CSV gains a
-//                         time_scale column)
-//                                                           [uniform]
-//   --skew S              Zipf exponent for the random placement — rack 0
-//                         gets the hottest blocks (0 = uniform)   [0]
-//   --speculate           enable Hadoop-style speculative execution
-//   --repair N            run background repair with concurrency N
-//   --utilization         print a rack-downlink utilization timeline
-//   --net-stats           print one net_stats JSON line per seed (network
-//                         engine counters: flow totals, fast paths,
-//                         batched/component recomputes)
-//   --csv PREFIX          write per-task/job CSVs of the first run
-//   --normalize           also run normal mode and report ratios
+// `dfsim --help` lists every flag with its range and default (the paper's
+// §V-B simulation setup); the README explains the larger ones.
 
 #include <iostream>
 #include <memory>
@@ -65,8 +20,8 @@
 #include "dfs/mapreduce/simulation.h"
 #include "dfs/mapreduce/speed_model.h"
 #include "dfs/mapreduce/trace.h"
-#include "dfs/runner/jobs_flag.h"
 #include "dfs/runner/sweep.h"
+#include "dfs/runner/thread_pool.h"
 #include "dfs/storage/failure.h"
 #include "dfs/storage/layout.h"
 #include "dfs/util/args.h"
@@ -83,156 +38,106 @@ int fail(const std::string& message) {
   return 1;
 }
 
-int run(const util::Args& args) {
-  if (args.has("help")) {
-    std::cout
-        << "dfsim - MapReduce-over-erasure-coding simulator\n"
-           "  --racks N --nodes-per-rack N --map-slots N --reduce-slots N\n"
-           "  --block-mb N --bandwidth-mbps X --node-bandwidth-mbps X\n"
-           "  --contention fair|fifo --heartbeat X\n"
-           "  --blocks F --code SPEC --placement random|roundrobin|replicated\n"
-           "  --reducers N --shuffle X --map-time M,SD --reduce-time M,SD\n"
-           "  --scheduler LF|BDF|EDF|DELAY|FAIR|FAIR+DF\n"
-           "  --failure none|node|2node|rack --sources random|samerack\n"
-           "  --planner cheapest|fullshard --cross-rack-cost X\n"
-           "  --speed-profile uniform|bimodal:F,S[,SEED]|vector:F0,...\n"
-           "  --skew S\n"
-           "  --seeds N --jobs N --speculate --repair N --normalize\n"
-           "  --csv PREFIX --utilization --net-stats --recovery-stats\n"
-           "  code SPEC: "
-        << ec::code_spec_help() << "\n";
-    return 0;
-  }
-
+int run(int argc, char** argv) {
+  using util::above, util::at_least, util::one_of;
   mapreduce::ClusterConfig cfg;
-  cfg.topology = net::Topology(args.get_int("racks", 4),
-                               args.get_int("nodes-per-rack", 10));
-  cfg.map_slots_per_node = args.get_int("map-slots", 4);
-  cfg.reduce_slots_per_node = args.get_int("reduce-slots", 1);
-  cfg.block_size = util::mebibytes(args.get_double("block-mb", 128.0));
-  cfg.heartbeat_interval = args.get_double("heartbeat", 3.0);
-  const double rack_mbps = args.get_double("bandwidth-mbps", 1000.0);
-  cfg.links.rack_up = util::megabits_per_sec(rack_mbps);
-  cfg.links.rack_down = util::megabits_per_sec(rack_mbps);
-  const double node_mbps = args.get_double("node-bandwidth-mbps", 0.0);
-  cfg.links.node_up = node_mbps > 0 ? util::megabits_per_sec(node_mbps)
-                                    : util::kUnlimitedBandwidth;
-  cfg.links.node_down = cfg.links.node_up;
-  const std::string contention = args.get_or("contention", "fair");
-  if (contention == "fifo") {
-    cfg.contention = net::ContentionModel::kExclusiveFifo;
-  } else if (contention != "fair") {
-    return fail("unknown --contention " + contention);
-  }
-
-  std::shared_ptr<ec::ErasureCode> code;
-  try {
-    code = ec::make_code_from_spec(args.get_or("code", "rs:20,15"));
-  } catch (const std::invalid_argument& e) {
-    return fail(std::string("bad --code parameters: ") + e.what());
-  }
-  if (!code) {
-    return fail(std::string("bad --code spec (") + ec::code_spec_help() + ")");
-  }
-  const int blocks = args.get_int("blocks", 1440);
-
   mapreduce::JobSpec spec;
-  spec.num_reducers = args.get_int("reducers", 30);
-  spec.shuffle_ratio = args.get_double("shuffle", 0.01);
-  const auto mt =
-      util::parse_double_list("--map-time", args.get_or("map-time", "20,1"));
-  const auto rt = util::parse_double_list("--reduce-time",
-                                          args.get_or("reduce-time", "30,2"));
-  if (mt.size() != 2 || rt.size() != 2) return fail("bad --map-time/--reduce-time");
-  spec.map_time = {mt[0], mt[1]};
-  spec.reduce_time = {rt[0], rt[1]};
-
-  // Validate the scheduler spec once up front; every sweep cell builds its
-  // own instance from the same name (schedulers like DELAY carry mutable
-  // state, so one instance must never be shared across concurrent seeds).
-  const std::string scheduler_name = args.get_or("scheduler", "LF");
-  std::unique_ptr<core::Scheduler> scheduler;
-  try {
-    scheduler = core::make_scheduler(scheduler_name);
-  } catch (const std::exception& e) {
-    return fail(e.what());
-  }
-
-  const std::string placement = args.get_or("placement", "random");
-  const std::string failure_kind = args.get_or("failure", "node");
-  const std::string sources = args.get_or("sources", "random");
-  const auto selection = sources == "samerack"
-                             ? storage::SourceSelection::kPreferSameRack
-                             : storage::SourceSelection::kRandom;
-  const std::string planner_name = args.get_or("planner", "cheapest");
   storage::RecoveryCostModel cost_model;
-  if (planner_name == "fullshard") {
-    cost_model.allow_subshard = false;
-  } else if (planner_name != "cheapest") {
-    return fail("unknown --planner " + planner_name);
+  int racks = 4, rack_width = 10, blocks = 1440, seeds = 10;
+  int jobs = runner::default_jobs(), repair_concurrency = 0;
+  double block_mb = 128.0, rack_mbps = 1000.0, node_mbps = 0.0, skew = 0.0;
+  std::vector<double> map_time{20, 1}, reduce_time{30, 2};
+  std::string contention = "fair", scheduler_name = "LF";
+  std::string placement = "random", failure_kind = "node", sources = "random";
+  std::string planner_name = "cheapest", speed_spec = "uniform";
+  std::shared_ptr<ec::ErasureCode> code;
+  std::optional<std::string> csv_prefix;
+  bool show_recovery_stats = false, normalize = false;
+  bool show_utilization = false, show_net_stats = false;
+
+  util::FlagTable f("dfsim", "MapReduce-over-erasure-coding simulator");
+  f.add("racks", &racks, "racks in the cluster", at_least(1));
+  f.add("nodes-per-rack", &rack_width, "nodes per rack", at_least(1));
+  f.add("map-slots", &cfg.map_slots_per_node, "map slots per node",
+        at_least(1));
+  f.add("reduce-slots", &cfg.reduce_slots_per_node,
+        "reduce slots per node (0 needs --reducers 0)", at_least(0));
+  f.add("block-mb", &block_mb, "block size, MiB", above(0));
+  f.add("bandwidth-mbps", &rack_mbps, "rack up/down bandwidth", above(0));
+  f.add("node-bandwidth-mbps", &node_mbps,
+        "node link bandwidth (0 = unlimited)", at_least(0));
+  f.add("contention", &contention, "network model", one_of({"fair", "fifo"}));
+  f.add("heartbeat", &cfg.heartbeat_interval, "heartbeat period, s",
+        above(0));
+  f.add("blocks", &blocks, "native blocks (= map tasks)", at_least(1));
+  f.add("code", "rs:20,15", ec::code_flag(code), ec::code_spec_help());
+  f.add("placement", &placement, "block placement",
+        one_of({"random", "roundrobin", "replicated"}));
+  f.add("reducers", &spec.num_reducers, "reduce tasks", at_least(0));
+  f.add("shuffle", &spec.shuffle_ratio, "shuffle size per block",
+        at_least(0));
+  f.add("map-time", &map_time, "map time MEAN,SD, s", at_least(0));
+  f.add("reduce-time", &reduce_time, "reduce time MEAN,SD, s", at_least(0));
+  f.add("scheduler", &scheduler_name,
+        "LF | BDF | EDF | DELAY | FAIR | FAIR+DF");
+  f.add("failure", &failure_kind, "failure pattern",
+        one_of({"none", "node", "2node", "rack"}));
+  f.add("seeds", &seeds, "independent runs", at_least(1));
+  f.add("jobs", &jobs, "worker threads (output is identical)", at_least(1));
+  f.add("sources", &sources, "degraded-read source choice",
+        one_of({"random", "samerack"}));
+  f.add("planner", &planner_name,
+        "degraded-read planning; fullshard fetches whole blocks",
+        one_of({"cheapest", "fullshard"}));
+  f.add("cross-rack-cost", &cost_model.cross_rack_weight,
+        "planner cost of a cross-rack fetch (1 = neutral)", above(0));
+  f.add("recovery-stats", &show_recovery_stats, "print recovery_stats lines");
+  f.add("speed-profile", &speed_spec,
+        "uniform | bimodal:FRAC,SLOWDOWN[,SEED] | vector:F0,F1,...");
+  f.add("skew", &skew, "Zipf exponent of random placement", at_least(0));
+  f.add("speculate", &cfg.speculative_execution, "speculative execution");
+  f.add("repair", &repair_concurrency,
+        "background repair concurrency (0 = off)", at_least(0));
+  f.add("utilization", &show_utilization, "print rack-downlink utilization");
+  f.add("net-stats", &show_net_stats, "print net_stats lines");
+  f.add("csv", &csv_prefix, "write CSV traces of the first run");
+  f.add("normalize", &normalize, "also report normal-mode ratios");
+  f.add_help();
+  f.parse_or_exit(argc, argv, 1);
+  if (map_time.size() != 2 || reduce_time.size() != 2 || map_time[0] <= 0.0 ||
+      reduce_time[0] <= 0.0) {
+    return fail("--map-time and --reduce-time take MEAN,SD with MEAN > 0");
   }
-  cost_model.cross_rack_weight = args.get_double("cross-rack-cost", 1.0);
-  const bool show_recovery_stats = args.has("recovery-stats");
-  const int seeds = args.get_int("seeds", 10);
-  const auto jobs = runner::jobs_from_args(args);
-  const bool normalize = args.has("normalize");
-  const auto csv_prefix = args.get("csv");
-  cfg.speculative_execution = args.has("speculate");
-  const int repair_concurrency = args.get_int("repair", 0);
-  const bool show_utilization = args.has("utilization");
-  const bool show_net_stats = args.has("net-stats");
-  mapreduce::SpeedModel speed;
-  try {
-    speed = mapreduce::SpeedModel::parse(
-        args.get_or("speed-profile", "uniform"));
-  } catch (const std::exception& e) {
-    return fail(e.what());
+  if (cfg.reduce_slots_per_node == 0 && spec.num_reducers > 0) {
+    return fail("--reduce-slots 0 needs --reducers 0");
   }
-  if (!speed.uniform()) {
-    cfg.node_time_scale = speed.materialize(cfg.topology.num_nodes());
-  }
-  const double skew = args.get_double("skew", 0.0);
-  if (skew < 0.0) return fail("--skew must be >= 0");
   if (skew > 0.0 && placement != "random") {
     return fail("--skew needs --placement random");
   }
-
-  if (const auto unknown = args.unrecognized(); !unknown.empty()) {
-    return fail("unknown flag --" + unknown.front());
+  spec.map_time = {map_time[0], map_time[1]};
+  spec.reduce_time = {reduce_time[0], reduce_time[1]};
+  cfg.topology = net::Topology(racks, rack_width);
+  cfg.block_size = util::mebibytes(block_mb);
+  cfg.links.rack_up = util::megabits_per_sec(rack_mbps);
+  cfg.links.rack_down = util::megabits_per_sec(rack_mbps);
+  cfg.links.node_up = node_mbps > 0 ? util::megabits_per_sec(node_mbps)
+                                    : util::kUnlimitedBandwidth;
+  cfg.links.node_down = cfg.links.node_up;
+  if (contention == "fifo") {
+    cfg.contention = net::ContentionModel::kExclusiveFifo;
   }
-
-  if (cfg.map_slots_per_node < 0) return fail("--map-slots must be >= 0");
-  if (cfg.reduce_slots_per_node < 0) return fail("--reduce-slots must be >= 0");
-  if (cfg.block_size <= 0.0) return fail("--block-mb must be > 0");
-  if (cfg.heartbeat_interval <= 0.0) return fail("--heartbeat must be > 0");
-  if (rack_mbps <= 0.0) return fail("--bandwidth-mbps must be > 0");
-  if (node_mbps < 0.0) return fail("--node-bandwidth-mbps must be >= 0");
-  if (blocks < 1) return fail("--blocks must be >= 1");
-  if (spec.num_reducers < 0) return fail("--reducers must be >= 0");
-  if (spec.shuffle_ratio < 0.0) return fail("--shuffle must be >= 0");
-  if (spec.map_time.mean <= 0.0 || spec.map_time.stddev < 0.0) {
-    return fail("--map-time needs mean > 0 and stddev >= 0");
+  const auto speed = mapreduce::SpeedModel::parse(speed_spec);
+  if (!speed.uniform()) {
+    cfg.node_time_scale = speed.materialize(cfg.topology.num_nodes());
   }
-  if (spec.reduce_time.mean <= 0.0 || spec.reduce_time.stddev < 0.0) {
-    return fail("--reduce-time needs mean > 0 and stddev >= 0");
-  }
-  if (seeds < 1) return fail("--seeds must be >= 1");
-  if (!jobs) return fail(runner::jobs_error());
-  if (repair_concurrency < 0) return fail("--repair must be >= 0");
-  if (cost_model.cross_rack_weight <= 0.0) {
-    return fail("--cross-rack-cost must be > 0");
-  }
-  if (placement != "random" && placement != "roundrobin" &&
-      placement != "replicated") {
-    return fail("unknown --placement " + placement);
-  }
-  if (sources != "random" && sources != "samerack") {
-    return fail("unknown --sources " + sources);
-  }
-  if (failure_kind != "none" && failure_kind != "node" &&
-      failure_kind != "2node" && failure_kind != "rack") {
-    return fail("unknown --failure " + failure_kind);
-  }
+  cost_model.allow_subshard = planner_name != "fullshard";
+  const auto selection = sources == "samerack"
+                             ? storage::SourceSelection::kPreferSameRack
+                             : storage::SourceSelection::kRandom;
+  // Validate the scheduler spec once up front; every sweep cell builds its
+  // own instance from the same name (schedulers like DELAY carry mutable
+  // state, so one instance must never be shared across concurrent seeds).
+  const auto scheduler = core::make_scheduler(scheduler_name);
 
   util::Table table({"seed", "runtime(s)", "map_phase(s)", "degraded",
                      "remote", "mean_drt(s)", "normalized"});
@@ -247,7 +152,7 @@ int run(const util::Args& args) {
     double runtime = 0.0;
     double norm = 0.0;
   };
-  runner::ThreadPool pool(*jobs);
+  runner::ThreadPool pool(jobs);
   std::vector<SeedOutcome> outcomes;
   try {
     outcomes = runner::sweep(
@@ -419,9 +324,10 @@ int run(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Malformed numeric flag values surface here from the Args getters.
+  // The flag table reports its own errors; the scheduler and
+  // speed-profile spec parsers throw theirs to here.
   try {
-    return run(util::Args(argc, argv));
+    return run(argc, argv);
   } catch (const std::invalid_argument& e) {
     return fail(e.what());
   }
