@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "dfs/runner/thread_pool.h"
 #include "dfs/util/jsonl.h"
 
 namespace dfs::net {
@@ -199,7 +198,7 @@ Network::Stats Network::stats() const {
   s.full_recomputes = full_recomputes_;
   s.batched_recomputes = batched_recomputes_;
   s.component_recomputes = component_recomputes_;
-  s.classes_active = fair_share_classes_active();
+  s.classes_active = static_cast<int>(class_by_path_.size());
   s.bytes_delivered = bytes_delivered_;
   return s;
 }
@@ -314,24 +313,21 @@ void Network::fair_share_batched_recompute() {
   ++batched_recomputes_;
   fair_share_advance();
   // Flood-fill the class/link sharing graph from every dirty link; each
-  // fill is one connected component, water-filled in isolation (max–min
-  // allocations decompose over components, so everyone outside keeps their
-  // rate). A dirty link with no classes left is the old idle-removal case:
-  // its departures shared nothing with any survivor.
+  // fill is one connected component, water-filled in isolation as soon as
+  // it closes (max–min allocations decompose over components, so everyone
+  // outside keeps their rate, and the flood-fill never reads the rates or
+  // scratch a pass writes). A dirty link with no classes left is the old
+  // idle-removal case: its departures shared nothing with any survivor.
   const util::Epoch::Ticket epoch = visit_epoch_.bump();
-  comp_links_.clear();
-  comp_classes_.clear();
-  comp_ranges_.clear();
   for (const int seed : dirty_links_) {
     link_dirty_[static_cast<std::size_t>(seed)] = 0;
     if (link_visit_[static_cast<std::size_t>(seed)] == epoch) continue;
     link_visit_[static_cast<std::size_t>(seed)] = epoch;
     if (link_classes_[static_cast<std::size_t>(seed)].empty()) continue;
-    ComponentRange comp;
-    comp.links_begin = comp_links_.size();
-    comp.classes_begin = comp_classes_.size();
+    comp_links_.clear();
+    comp_classes_.clear();
     comp_links_.push_back(seed);
-    for (std::size_t qi = comp.links_begin; qi < comp_links_.size(); ++qi) {
+    for (std::size_t qi = 0; qi < comp_links_.size(); ++qi) {
       const auto l = static_cast<std::size_t>(comp_links_[qi]);
       for (const auto& entry : link_classes_[l]) {
         FlowClass& c = classes_[static_cast<std::size_t>(entry.first)];
@@ -345,44 +341,25 @@ void Network::fair_share_batched_recompute() {
         }
       }
     }
-    comp.links_end = comp_links_.size();
-    comp.classes_end = comp_classes_.size();
-    comp_ranges_.push_back(comp);
-    // Counters stay on the deterministic collection path, not in the
-    // (possibly concurrent) water-filling passes.
-    if (comp.classes_end - comp.classes_begin == 1) {
+    if (comp_classes_.size() == 1) {
       ++fast_paths_;
     } else {
       ++component_recomputes_;
     }
+    fair_share_waterfill_component();
   }
   dirty_links_.clear();
-  // Components are disjoint in links, classes, and scratch slots, so the
-  // passes commute; fan out when a dedicated pool is attached. Rates are
-  // identical either way — the allocation per component does not depend on
-  // execution order or interleaving.
-  if (pool_ != nullptr && pool_->threads() > 1 && comp_ranges_.size() > 1) {
-    for (const ComponentRange& comp : comp_ranges_) {
-      pool_->submit([this, comp] { fair_share_waterfill_component(comp); });
-    }
-    pool_->wait_idle();
-  } else {
-    for (const ComponentRange& comp : comp_ranges_) {
-      fair_share_waterfill_component(comp);
-    }
-  }
   if (cross_check_) fair_share_cross_check();
   fair_share_arm();
 }
 
-void Network::fair_share_waterfill_component(const ComponentRange& comp) {
-  if (comp.classes_end - comp.classes_begin == 1) {
+void Network::fair_share_waterfill_component() {
+  if (comp_classes_.size() == 1) {
     // Single class: progressive filling would run exactly one round and
     // freeze it at its path bottleneck share. Computing that share directly
     // subsumes the old isolated-flow fast path and generalizes it to any
     // multiplicity.
-    FlowClass& c =
-        classes_[static_cast<std::size_t>(comp_classes_[comp.classes_begin])];
+    FlowClass& c = classes_[static_cast<std::size_t>(comp_classes_.front())];
     double best = std::numeric_limits<double>::infinity();
     for (const int l : c.links) {
       const double share =
@@ -396,15 +373,14 @@ void Network::fair_share_waterfill_component(const ComponentRange& comp) {
   // Progressive water-filling over classes: repeatedly saturate the link
   // with the lowest per-flow fair share and freeze the classes that cross
   // it at that share.
-  for (std::size_t i = comp.links_begin; i < comp.links_end; ++i) {
-    const int l = comp_links_[i];
+  for (const int l : comp_links_) {
     scratch_residual_[static_cast<std::size_t>(l)] =
         links_[static_cast<std::size_t>(l)].capacity;
     scratch_count_[static_cast<std::size_t>(l)] = 0;
   }
   long unfrozen = 0;
-  for (std::size_t i = comp.classes_begin; i < comp.classes_end; ++i) {
-    FlowClass& c = classes_[static_cast<std::size_t>(comp_classes_[i])];
+  for (const int cid : comp_classes_) {
+    FlowClass& c = classes_[static_cast<std::size_t>(cid)];
     c.wf_rate = -1.0;  // unfrozen marker
     unfrozen += c.count;
     for (const int l : c.links) {
@@ -414,14 +390,14 @@ void Network::fair_share_waterfill_component(const ComponentRange& comp) {
   while (unfrozen > 0) {
     int bottleneck = -1;
     double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t i = comp.links_begin; i < comp.links_end; ++i) {
-      const auto l = static_cast<std::size_t>(comp_links_[i]);
+    for (const int link : comp_links_) {
+      const auto l = static_cast<std::size_t>(link);
       if (scratch_count_[l] <= 0) continue;
       const double share =
           std::max(0.0, scratch_residual_[l]) / scratch_count_[l];
       if (share < best_share) {
         best_share = share;
-        bottleneck = comp_links_[i];
+        bottleneck = link;
       }
     }
     assert(bottleneck >= 0 && "every class crosses at least one limited link");
@@ -442,8 +418,8 @@ void Network::fair_share_waterfill_component(const ComponentRange& comp) {
       }
     }
   }
-  for (std::size_t i = comp.classes_begin; i < comp.classes_end; ++i) {
-    FlowClass& c = classes_[static_cast<std::size_t>(comp_classes_[i])];
+  for (const int cid : comp_classes_) {
+    FlowClass& c = classes_[static_cast<std::size_t>(cid)];
     c.rate = c.wf_rate;
   }
 }

@@ -15,10 +15,6 @@ namespace dfs::util {
 class JsonlWriter;
 }
 
-namespace dfs::runner {
-class ThreadPool;
-}
-
 namespace dfs::net {
 
 /// How concurrent transfers share a link.
@@ -80,11 +76,17 @@ class Network {
     std::uint64_t flows_started = 0;
     std::uint64_t flows_completed = 0;
     std::uint64_t flows_cancelled = 0;
-    std::uint64_t fast_paths = 0;          ///< single-class component passes
-    std::uint64_t full_recomputes = 0;     ///< naive passes (cross-check)
-    std::uint64_t batched_recomputes = 0;  ///< coalesced recompute events
+    /// Component passes that collapsed to a single class: the rate is its
+    /// path bottleneck divided by its multiplicity, no water-filling loop.
+    std::uint64_t fast_paths = 0;
+    /// Naive per-flow water-filling passes; only the cross-check runs them.
+    std::uint64_t full_recomputes = 0;
+    /// Coalesced zero-delay recompute events (one per simulated timestamp
+    /// with fair-share changes, however many flows changed).
+    std::uint64_t batched_recomputes = 0;
     std::uint64_t component_recomputes = 0;  ///< multi-class component passes
-    int classes_active = 0;                  ///< live flow classes right now
+    /// Live flow classes (distinct contended paths with at least one flow).
+    int classes_active = 0;
     util::Bytes bytes_delivered = 0.0;
   };
 
@@ -120,18 +122,6 @@ class Network {
   ContentionModel model() const { return model_; }
   const Topology& topology() const { return topology_; }
 
-  /// Fan the per-component water-filling passes of a batched recompute
-  /// across `pool`'s workers. Components are independent by construction
-  /// (disjoint links and classes — that's why component-scoped recompute is
-  /// exact), and each pass writes only its own component's state, so the
-  /// resulting rates are identical to the serial engine at any worker
-  /// count; components are still collected (and counted) in deterministic
-  /// seed order. nullptr, or a pool with fewer than two workers, keeps the
-  /// serial path. The pool must be DEDICATED to this network: the recompute
-  /// blocks on wait_idle(), so handing it a pool whose worker is currently
-  /// running this simulation (e.g. the seed-sweep pool) deadlocks.
-  void set_thread_pool(runner::ThreadPool* pool) { pool_ = pool; }
-
   /// Debug mode: after every batched fair-share recompute, re-derive every
   /// rate with a naive per-flow water-filling pass over the whole active set
   /// and verify the class-aggregated, component-scoped engine produced the
@@ -141,31 +131,7 @@ class Network {
   void set_fair_share_cross_check(bool on) { cross_check_ = on; }
 
   // --- observability -------------------------------------------------------
-  std::uint64_t flows_started() const { return flows_started_; }
-  std::uint64_t flows_completed() const { return flows_completed_; }
-  std::uint64_t flows_cancelled() const { return flows_cancelled_; }
-  /// Fair-share component passes that collapsed to a single class: the rate
-  /// is its path bottleneck divided by its multiplicity, no water-filling
-  /// loop needed (subsumes the old isolated-add/idle-removal fast paths).
-  std::uint64_t fair_share_fast_paths() const { return fast_paths_; }
-  /// Naive per-flow water-filling passes executed. The production engine
-  /// never runs these anymore; they count cross-check reference passes.
-  std::uint64_t fair_share_full_recomputes() const { return full_recomputes_; }
-  /// Coalesced zero-delay recompute events processed (one per simulated
-  /// timestamp with fair-share changes, however many flows changed).
-  std::uint64_t fair_share_batched_recomputes() const {
-    return batched_recomputes_;
-  }
-  /// Water-filling passes over a multi-class connected component.
-  std::uint64_t fair_share_component_recomputes() const {
-    return component_recomputes_;
-  }
-  /// Live flow classes (distinct contended paths with at least one flow).
-  int fair_share_classes_active() const {
-    return static_cast<int>(class_by_path_.size());
-  }
   Stats stats() const;
-  util::Bytes bytes_delivered() const { return bytes_delivered_; }
   int active_flow_count() const { return static_cast<int>(active_.size()); }
   /// Total time the given rack's downlink had at least one active flow.
   util::Seconds rack_down_busy_time(RackId r) const;
@@ -228,20 +194,12 @@ class Network {
   /// re-arms from fresh rates, exactly like the old per-op re-arm did).
   void fair_share_mark_dirty(const std::vector<int>& links);
   /// The coalesced recompute: flood-fill components from the dirty links,
-  /// water-fill each touched component over its classes, cross-check if
-  /// enabled, re-arm the completion horizon.
+  /// water-fill each one as soon as its fill closes, cross-check if enabled,
+  /// re-arm the completion horizon.
   void fair_share_batched_recompute();
-  /// One flood-filled component, as ranges into comp_links_/comp_classes_.
-  struct ComponentRange {
-    std::size_t links_begin = 0;
-    std::size_t links_end = 0;
-    std::size_t classes_begin = 0;
-    std::size_t classes_end = 0;
-  };
-  /// Water-fill one component. Touches only that component's classes and
-  /// scratch slots (disjoint across components), so concurrent calls on
-  /// different components are race-free.
-  void fair_share_waterfill_component(const ComponentRange& comp);
+  /// Water-fill the component just flood-filled into comp_links_ and
+  /// comp_classes_.
+  void fair_share_waterfill_component();
   void fair_share_arm();
   void fair_share_on_completion();
   /// Naive per-flow water-filling over the whole active set (the reference
@@ -310,8 +268,6 @@ class Network {
   std::vector<util::Epoch::Ticket> link_visit_;
   std::vector<int> comp_links_;    ///< doubles as the flood-fill queue
   std::vector<int> comp_classes_;
-  std::vector<ComponentRange> comp_ranges_;  ///< components of this batch
-  runner::ThreadPool* pool_ = nullptr;  ///< dedicated recompute pool or null
   std::vector<double> scratch_residual_;
   std::vector<int> scratch_count_;
   std::vector<int> scratch_touched_;  ///< naive reference pass only

@@ -9,7 +9,6 @@
 #include "dfs/net/network.h"
 #include "dfs/net/topology.h"
 #include "dfs/net/utilization.h"
-#include "dfs/runner/thread_pool.h"
 #include "dfs/sim/simulator.h"
 #include "dfs/util/rng.h"
 
@@ -94,8 +93,8 @@ TEST(Network, SingleTransferCompletesAtIsolatedTime) {
   net.transfer(0, 2, 1000.0, [&] { done = f.sim.now(); });
   f.sim.run();
   EXPECT_DOUBLE_EQ(done, 10.0);
-  EXPECT_EQ(net.flows_completed(), 1u);
-  EXPECT_DOUBLE_EQ(net.bytes_delivered(), 1000.0);
+  EXPECT_EQ(net.stats().flows_completed, 1u);
+  EXPECT_DOUBLE_EQ(net.stats().bytes_delivered, 1000.0);
 }
 
 TEST(Network, FairShareTwoFlowsSameRackDownlinkDouble) {
@@ -158,7 +157,7 @@ TEST(Network, SameNodeTransferInstant) {
   net.transfer(1, 1, 12345.0, [&] { done = f.sim.now(); });
   f.sim.run();
   EXPECT_DOUBLE_EQ(done, 0.0);
-  EXPECT_DOUBLE_EQ(net.bytes_delivered(), 12345.0);
+  EXPECT_DOUBLE_EQ(net.stats().bytes_delivered, 12345.0);
 }
 
 TEST(Network, ZeroByteTransferCompletes) {
@@ -207,7 +206,7 @@ TEST(Network, ManyFlowsConservation) {
   }
   f.sim.run();
   EXPECT_EQ(done, 50);
-  EXPECT_DOUBLE_EQ(net.bytes_delivered(), 5000.0);
+  EXPECT_DOUBLE_EQ(net.stats().bytes_delivered, 5000.0);
   // 5000 bytes through a 100 B/s rack downlink: exactly 50 s busy.
   EXPECT_NEAR(net.rack_down_busy_time(1), 50.0, 1e-6);
 }
@@ -315,8 +314,8 @@ TEST_P(ContentionParamTest, RandomFlowsConserveBytesAndRespectPhysics) {
   }
   sim.run();
 
-  EXPECT_EQ(net.flows_completed(), 200u);
-  EXPECT_NEAR(net.bytes_delivered(), total, 1e-6);
+  EXPECT_EQ(net.stats().flows_completed, 200u);
+  EXPECT_NEAR(net.stats().bytes_delivered, total, 1e-6);
   for (const auto& p : probes) {
     ASSERT_GE(p.end, 0.0) << "flow never completed";
     // No flow can beat the uncontended bottleneck transfer time.
@@ -386,11 +385,11 @@ TEST(Network, FairShareFastPathsMatchFullRecomputeUnderChurn) {
   sim.run();
 
   EXPECT_EQ(net.active_flow_count(), 0);
-  EXPECT_EQ(static_cast<std::uint64_t>(done) + net.flows_cancelled(),
-            net.flows_started());
+  EXPECT_EQ(static_cast<std::uint64_t>(done) + net.stats().flows_cancelled,
+            net.stats().flows_started);
   // The whole point of the cross-check run: both strategies actually ran.
-  EXPECT_GT(net.fair_share_fast_paths(), 0u);
-  EXPECT_GT(net.fair_share_full_recomputes(), 0u);
+  EXPECT_GT(net.stats().fast_paths, 0u);
+  EXPECT_GT(net.stats().full_recomputes, 0u);
 }
 
 // --- batched / aggregated fair-share engine vs the naive per-flow pass -------
@@ -435,14 +434,14 @@ TEST(Network, FairShareCancelHeavyChurnMatchesNaive) {
   sim.run();
 
   EXPECT_EQ(net.active_flow_count(), 0);
-  EXPECT_GT(net.flows_cancelled(), 0u);
-  EXPECT_EQ(static_cast<std::uint64_t>(done) + net.flows_cancelled(),
-            net.flows_started());
+  EXPECT_GT(net.stats().flows_cancelled, 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(done) + net.stats().flows_cancelled,
+            net.stats().flows_started);
   // Both engines ran: the naive reference pass (full recomputes) verified
   // every batched decision, and multi-class components were water-filled.
-  EXPECT_GT(net.fair_share_full_recomputes(), 0u);
-  EXPECT_GT(net.fair_share_component_recomputes(), 0u);
-  EXPECT_EQ(net.fair_share_classes_active(), 0);
+  EXPECT_GT(net.stats().full_recomputes, 0u);
+  EXPECT_GT(net.stats().component_recomputes, 0u);
+  EXPECT_EQ(net.stats().classes_active, 0);
 }
 
 TEST(Network, FairShareSameTimestampBurstsCoalesce) {
@@ -468,10 +467,10 @@ TEST(Network, FairShareSameTimestampBurstsCoalesce) {
     // identical paths [rack0 up, rack1 down] form a single class, so the
     // component pass took the single-class fast path.
     sim.schedule_in(0.0, [&net] {
-      EXPECT_EQ(net.fair_share_batched_recomputes(), 1u);
-      EXPECT_EQ(net.fair_share_classes_active(), 1);
-      EXPECT_EQ(net.fair_share_fast_paths(), 1u);
-      EXPECT_EQ(net.fair_share_component_recomputes(), 0u);
+      EXPECT_EQ(net.stats().batched_recomputes, 1u);
+      EXPECT_EQ(net.stats().classes_active, 1);
+      EXPECT_EQ(net.stats().fast_paths, 1u);
+      EXPECT_EQ(net.stats().component_recomputes, 0u);
     });
   });
   sim.run();
@@ -512,9 +511,9 @@ TEST(Network, FairShareSingleFlowComponentsUseFastPath) {
   EXPECT_EQ(done, 3);
   // Each flow ran uncontended at 100 B/s for its full 1000 bytes.
   EXPECT_NEAR(sim.now(), 12.0, 1e-6);
-  EXPECT_EQ(net.fair_share_component_recomputes(), 0u);
-  EXPECT_GE(net.fair_share_fast_paths(), 3u);
-  EXPECT_EQ(net.fair_share_classes_active(), 0);
+  EXPECT_EQ(net.stats().component_recomputes, 0u);
+  EXPECT_GE(net.stats().fast_paths, 3u);
+  EXPECT_EQ(net.stats().classes_active, 0);
 }
 
 // --- cancel: idempotence and same-batch races --------------------------------
@@ -531,7 +530,7 @@ TEST(Network, CancelIsIdempotentAcrossLifecycle) {
   });
   f.sim.run();
   EXPECT_FALSE(done);
-  EXPECT_EQ(net.flows_cancelled(), 1u);
+  EXPECT_EQ(net.stats().flows_cancelled, 1u);
 
   // After completion: cancel must refuse (the flow already delivered).
   bool done2 = false;
@@ -540,7 +539,7 @@ TEST(Network, CancelIsIdempotentAcrossLifecycle) {
   EXPECT_TRUE(done2);
   EXPECT_FALSE(net.cancel(id2));
   EXPECT_FALSE(net.cancel(id2));
-  EXPECT_EQ(net.flows_cancelled(), 1u);
+  EXPECT_EQ(net.stats().flows_cancelled, 1u);
 }
 
 TEST(Network, CancelFromSameBatchCompletionSuppressesDelivery) {
@@ -575,8 +574,8 @@ TEST(Network, CancelFromSameBatchCompletionSuppressesDelivery) {
   EXPECT_NEAR(batch_at, 20.0, 1e-6);
   EXPECT_EQ(fired, 1);
   EXPECT_NE(a_suppressed_b, b_suppressed_a);  // exactly one cancel landed
-  EXPECT_EQ(net.flows_completed(), 1u);
-  EXPECT_EQ(net.flows_cancelled(), 1u);
+  EXPECT_EQ(net.stats().flows_completed, 1u);
+  EXPECT_EQ(net.stats().flows_cancelled, 1u);
   EXPECT_EQ(net.active_flow_count(), 0);
 }
 
@@ -595,8 +594,8 @@ TEST(Network, CancelAfterDeliveryFromLaterBatchReturnsFalse) {
   f.sim.run();
   EXPECT_TRUE(early_done);
   EXPECT_FALSE(late_saw_cancel);
-  EXPECT_EQ(net.flows_completed(), 2u);
-  EXPECT_EQ(net.flows_cancelled(), 0u);
+  EXPECT_EQ(net.stats().flows_completed, 2u);
+  EXPECT_EQ(net.stats().flows_cancelled, 0u);
 }
 
 // --- exactness on the perf harness's burst workload --------------------------
@@ -612,13 +611,12 @@ struct BurstOutcome {
 /// and a mid-flight cancel of every third fan-in flow, on the paper's 4x10
 /// topology with default links. The checksum is order-insensitive but
 /// moves with any single completion time.
-BurstOutcome run_burst(int waves, bool cross_check, runner::ThreadPool* pool) {
+BurstOutcome run_burst(int waves, bool cross_check) {
   sim::Simulator sim;
   const Topology topo(4, 10);
   const LinkConfig links;
   Network net(sim, topo, links);
   net.set_fair_share_cross_check(cross_check);
-  net.set_thread_pool(pool);
   util::Rng rng(24601);
   BurstOutcome out;
   long tag = 0;
@@ -668,35 +666,29 @@ BurstOutcome run_burst(int waves, bool cross_check, runner::ThreadPool* pool) {
 TEST(Network, FairShareBurstWorkloadMatchesPinnedNaiveChecksum) {
   // Pinned from the pre-aggregation engine, which re-ran a full per-flow
   // water-filling pass on every op. The batched, class-aggregated engine
-  // must reproduce it bit for bit: with the naive per-flow cross-check on
-  // (so every recompute is also verified against the reference pass),
-  // plain, and with the component recompute fanned across four workers.
+  // must reproduce it bit for bit, both with the naive per-flow cross-check
+  // on (so every recompute is also verified against the reference pass) and
+  // plain.
   constexpr double kChecksum = 0x1.b7ce57b66677ep+28;
-  runner::ThreadPool pool(4);
-  struct Leg {
-    const char* name;
-    bool cross_check;
-    runner::ThreadPool* pool;
-  };
-  for (const Leg& leg : {Leg{"cross_check", true, nullptr},
-                         Leg{"plain", false, nullptr},
-                         Leg{"pool4", false, &pool}}) {
-    SCOPED_TRACE(leg.name);
-    const BurstOutcome out = run_burst(60, leg.cross_check, leg.pool);
+  for (const bool cross_check : {true, false}) {
+    SCOPED_TRACE(cross_check ? "cross_check" : "plain");
+    const BurstOutcome out = run_burst(60, cross_check);
     EXPECT_EQ(out.checksum, kChecksum);
     EXPECT_EQ(out.ops, 5160u);
     EXPECT_EQ(out.completed, 4537u);
   }
 }
 
-TEST(Network, FairShareParallelComponentRecomputeMatchesSerial) {
-  // The burst workload above is one congestion component per batch, so its
-  // pool leg never fans out. Here every rack runs its own fan-in over
-  // limited node links, started at one instant: each rack is a separate
-  // component, a batch holds several, and a four-worker pool water-fills
-  // them concurrently. Completion times must match the serial engine (with
-  // the naive cross-check on) bit for bit.
-  const auto run = [](runner::ThreadPool* pool, bool cross_check) {
+TEST(Network, FairShareMultiComponentBatchesMatchPinnedChecksum) {
+  // The burst workload above is one congestion component per batch. Here
+  // every rack runs its own fan-in over limited node links, started at one
+  // instant: each rack is a separate component and a batch holds several,
+  // each water-filled as soon as its flood-fill closes. Completion times
+  // must match the checksum pinned from the engine that collected every
+  // component before water-filling any, with and without the naive
+  // cross-check.
+  constexpr double kChecksum = 0x1.55492ff77f36bp+21;
+  const auto run = [](bool cross_check) {
     sim::Simulator sim;
     const Topology topo(4, 10);
     LinkConfig links;
@@ -704,7 +696,6 @@ TEST(Network, FairShareParallelComponentRecomputeMatchesSerial) {
     links.node_down = util::megabits_per_sec(400.0);
     Network net(sim, topo, links);
     net.set_fair_share_cross_check(cross_check);
-    net.set_thread_pool(pool);
     util::Rng rng(31337);
     BurstOutcome out;
     long tag = 0;
@@ -729,18 +720,17 @@ TEST(Network, FairShareParallelComponentRecomputeMatchesSerial) {
     sim.run();
     return std::pair{out, net.stats()};
   };
-  const auto [serial, serial_stats] = run(nullptr, true);
-  runner::ThreadPool pool(4);
-  const auto [parallel, stats] = run(&pool, false);
-  EXPECT_EQ(parallel.checksum, serial.checksum);
-  EXPECT_EQ(parallel.completed, 640u);
-  EXPECT_EQ(serial.completed, 640u);
-  // More component passes than batches: some batch held several components,
-  // which is exactly when the pool fans out.
+  const auto [checked, checked_stats] = run(true);
+  const auto [plain, stats] = run(false);
+  EXPECT_EQ(checked.checksum, kChecksum);
+  EXPECT_EQ(plain.checksum, kChecksum);
+  EXPECT_EQ(checked.completed, 640u);
+  EXPECT_EQ(plain.completed, 640u);
+  // More component passes than batches: some batch held several components.
   EXPECT_GT(stats.component_recomputes, 0u);
   EXPECT_GT(stats.fast_paths + stats.component_recomputes,
             stats.batched_recomputes);
-  EXPECT_EQ(stats.component_recomputes, serial_stats.component_recomputes);
+  EXPECT_EQ(stats.component_recomputes, checked_stats.component_recomputes);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModels, ContentionParamTest,

@@ -71,7 +71,8 @@ int run(int argc, char** argv) {
   f.add("scheduler", &scheduler_flag, "lf | df | edf, or any dfsim name");
   f.add("seed", &seed, "base RNG seed");
   f.add("seeds", &seeds, "runs: seed, seed+1, ...", at_least(1));
-  f.add("jobs", &jobs, "worker threads (output is identical)", at_least(1));
+  f.add("jobs", &jobs, "seed-sweep worker threads (output is identical)",
+        at_least(1));
   f.add("slaves", &slaves, "total slave nodes", at_least(1));
   f.add("nodes-per-rack", &rack_width, "slaves per rack", at_least(1));
   f.add("rack-gbps", &rack_gbps, "rack up/down bandwidth, Gbps", above(0));
@@ -165,14 +166,6 @@ int run(int argc, char** argv) {
     if (!shares.empty()) arr.tenants[c].arrival_share = shares[c];
     if (!scales.empty()) arr.tenants[c].job_scale = scales[c];
   }
-  // Each simulation also water-fills independent congestion components on
-  // --jobs threads (a dedicated pool per cell; the recompute is
-  // order-insensitive, so this never changes output). Single-seed runs —
-  // the scale tier's shape — get the full thread budget; multi-seed sweeps
-  // already keep every core busy with whole cells, so they stay serial
-  // inside the network rather than oversubscribing jobs^2 threads.
-  opts.net_jobs = seeds == 1 ? jobs : 1;
-
   // Each seed is one sweep cell; every cell owns its scheduler and
   // simulation and renders its report into a string, so the per-seed blocks
   // (and the JSONL records appended below) come out in seed order whatever
