@@ -79,7 +79,9 @@ TEST(Cluster, MidRunFailureReclassifiesPendingTasksAsDegraded) {
   // The failed node stops receiving work; tasks assigned to it earlier are
   // allowed to finish (the failure takes its storage, not its progress).
   for (const auto& t : r.map_tasks) {
-    if (t.assign_time > fail_at) EXPECT_NE(t.exec_node, 3) << t.id;
+    if (t.assign_time > fail_at) {
+      EXPECT_NE(t.exec_node, 3) << t.id;
+    }
   }
   for (const auto& t : r.map_tasks) {
     if (t.kind == MapTaskKind::kDegraded) {
