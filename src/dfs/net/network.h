@@ -1,9 +1,12 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dfs/net/topology.h"
@@ -52,7 +55,7 @@ using FlowId = std::uint64_t;
 /// callbacks fire at the simulated completion time.
 ///
 /// The max–min fair-share model allocates rates by water-filling, organized
-/// around three exact optimizations (docs/performance.md has the full
+/// around four exact optimizations (docs/performance.md has the full
 /// derivation):
 ///
 /// - **Flow classes.** Flows with the same contended path receive the same
@@ -69,6 +72,13 @@ using FlowId = std::uint64_t;
 ///   dirty and schedule one zero-delay recompute through the simulator, so
 ///   a k-source degraded read or an n-flow shuffle wave pays one pass per
 ///   simulated timestamp instead of k or n.
+/// - **Per-class completion heaps.** Flows live in a slab, and each class
+///   keeps a min-heap of its members keyed by residual bytes. Every member
+///   of a class loses the same `rate*dt` (then `max(0, ·)`), both monotone,
+///   so advancing never reorders a heap; the next completion is a minimum
+///   over classes of `front / rate`, and a completion batch pops only the
+///   fronts that crossed the line. Same-instant completions are delivered
+///   in ascending flow id order.
 class Network {
  public:
   /// Counter snapshot for observability (JSONL reporting in the tools).
@@ -99,7 +109,7 @@ class Network {
   /// src == dst, or all links on the path unlimited) completes after zero
   /// simulated time, on the next event-loop dispatch.
   FlowId transfer(NodeId src, NodeId dst, util::Bytes size,
-                  std::function<void()> done);
+                  sim::SmallFn done);
 
   /// Cancel an in-flight transfer: its callback never fires and its share of
   /// every link is released immediately. Idempotent — a second cancel of the
@@ -132,7 +142,7 @@ class Network {
 
   // --- observability -------------------------------------------------------
   Stats stats() const;
-  int active_flow_count() const { return static_cast<int>(active_.size()); }
+  int active_flow_count() const { return static_cast<int>(slot_of_.size()); }
   /// Total time the given rack's downlink had at least one active flow.
   util::Seconds rack_down_busy_time(RackId r) const;
 
@@ -145,32 +155,61 @@ class Network {
     util::Seconds busy_total = 0.0;
   };
 
+  /// A contended path: at most node up, rack up, core, rack down, node
+  /// down, stored inline.
+  struct Path {
+    static constexpr int kMaxLinks = 5;
+    std::array<int, kMaxLinks> links{};
+    int len = 0;
+
+    const int* begin() const { return links.data(); }
+    const int* end() const { return links.data() + len; }
+    std::size_t size() const { return static_cast<std::size_t>(len); }
+    bool empty() const { return len == 0; }
+    int operator[](std::size_t i) const { return links[i]; }
+    void push_back(int link) { links[static_cast<std::size_t>(len++)] = link; }
+    bool operator==(const Path& o) const {
+      return len == o.len && std::equal(begin(), end(), o.begin());
+    }
+  };
+
+  /// One slab cell. Free cells are listed on free_flows_.
   struct Flow {
     FlowId id = 0;
-    NodeId src = 0;
-    NodeId dst = 0;
     util::Bytes size = 0.0;
-    util::Bytes remaining = 0.0;
-    int cls = -1;  // fair-share model: index into classes_
-    std::vector<int> links;
-    std::function<void()> done;
+    int cls = -1;       // fair-share model: index into classes_
+    int heap_pos = -1;  // fair-share model: position in its class's heap
+    Path links;
+    sim::SmallFn done;
     sim::EventId completion{};  // kExclusiveFifo: armed completion event
+  };
+
+  /// A class heap entry: a member flow's residual bytes and its slab slot.
+  struct Member {
+    util::Bytes remaining;
+    std::uint32_t slot;
   };
 
   /// One equivalence class of fair-share flows: every flow with this
   /// contended path. Max–min gives them all the same rate, so the class
   /// carries one rate and a multiplicity; water-filling runs over classes.
   struct FlowClass {
-    std::vector<int> links;     ///< the shared contended path
-    std::vector<int> link_pos;  ///< this class's slot in link_classes_[links[i]]
-    int count = 0;              ///< member flows
+    Path links;  ///< the shared contended path
+    /// This class's slot in link_classes_[links[i]].
+    std::array<int, Path::kMaxLinks> link_pos{};
+    /// Member flows not yet departed. Equals heap.size() except while a
+    /// completion batch moves popped members out of their classes.
+    int count = 0;
+    int live_pos = -1;          ///< this class's index in live_classes_
     double rate = 0.0;          ///< bytes/sec per member flow
     double wf_rate = 0.0;       ///< water-filling scratch (unfrozen marker)
     util::Epoch::Ticket visit = 0;  ///< flood-fill epoch mark
+    /// Min-heap of members keyed only by `remaining` (ties in any order).
+    std::vector<Member> heap;
   };
 
   struct PathHash {
-    std::size_t operator()(const std::vector<int>& p) const {
+    std::size_t operator()(const Path& p) const {
       std::size_t h = 1469598103934665603ull;
       for (int v : p) {
         h ^= static_cast<std::size_t>(static_cast<unsigned>(v));
@@ -180,19 +219,28 @@ class Network {
     }
   };
 
-  std::vector<int> contended_path(NodeId src, NodeId dst) const;
+  Path contended_path(NodeId src, NodeId dst) const;
+
+  std::uint32_t allocate_flow();
+  void release_flow(std::uint32_t slot);
+
+  // Class heaps: every move keeps flows_[slot].heap_pos in step.
+  void heap_push(FlowClass& c, Member m);
+  void heap_erase(FlowClass& c, int pos);
+  void heap_sift_up(FlowClass& c, int pos);
+  void heap_sift_down(FlowClass& c, int pos);
 
   // Fair-share model.
-  void fair_share_add(Flow flow);
+  void fair_share_add(std::uint32_t slot);
   void fair_share_advance();
   /// Find or create the class for `path`; returns its index.
-  int fair_share_class_for(const std::vector<int>& path);
-  /// Drop one member from flow's class, destroying the class at zero.
-  void fair_share_leave_class(const Flow& flow);
+  int fair_share_class_for(const Path& path);
+  /// Drop one member from class `cid`, destroying the class at zero.
+  void fair_share_leave_class(int cid);
   /// Mark the flow's links dirty and ensure one zero-delay recompute event
   /// is queued; also disarms the stale completion horizon (the recompute
   /// re-arms from fresh rates, exactly like the old per-op re-arm did).
-  void fair_share_mark_dirty(const std::vector<int>& links);
+  void fair_share_mark_dirty(const Path& links);
   /// The coalesced recompute: flood-fill components from the dirty links,
   /// water-fill each one as soon as its fill closes, cross-check if enabled,
   /// re-arm the completion horizon.
@@ -203,16 +251,18 @@ class Network {
   void fair_share_arm();
   void fair_share_on_completion();
   /// Naive per-flow water-filling over the whole active set (the reference
-  /// the optimized engine must agree with); writes into `out`.
-  void fair_share_naive_rates(std::unordered_map<FlowId, double>& out);
+  /// the optimized engine must agree with); writes each flow's rate into
+  /// `out[slot]`.
+  void fair_share_naive_rates(std::vector<double>& out);
   void fair_share_cross_check();
 
   // Exclusive-FIFO model.
   void fifo_try_start_pending();
-  void fifo_complete(FlowId id);
+  void fifo_complete(std::uint32_t slot);
 
-  void mark_links_active(const std::vector<int>& links, int delta);
-  void finish_flow(Flow& flow);
+  void mark_links_active(const Path& links, int delta);
+  /// Count the flow delivered, free its slot, then run its callback.
+  void finish_flow(std::uint32_t slot);
 
   // Link index layout: [0, 2N) node up/down, [2N, 2N+2R) rack up/down,
   // [2N+2R] core.
@@ -232,8 +282,12 @@ class Network {
   std::vector<Link> links_;
 
   FlowId next_flow_id_ = 1;
-  std::unordered_map<FlowId, Flow> active_;
-  std::deque<Flow> fifo_pending_;
+  std::vector<Flow> flows_;  ///< slab; free slots on free_flows_
+  std::vector<std::uint32_t> free_flows_;
+  /// Cancellable flows (fair-share active, FIFO started) by id. Only looked
+  /// up, never iterated.
+  std::unordered_map<FlowId, std::uint32_t> slot_of_;
+  std::deque<std::uint32_t> fifo_pending_;  ///< slots not yet started
 
   // Fair-share bookkeeping.
   util::Seconds last_advance_ = 0.0;
@@ -242,7 +296,8 @@ class Network {
   // Flow classes and the class/link sharing graph.
   std::vector<FlowClass> classes_;  ///< slab; free slots on free_classes_
   std::vector<int> free_classes_;
-  std::unordered_map<std::vector<int>, int, PathHash> class_by_path_;
+  std::vector<int> live_classes_;  ///< classes with members, any order
+  std::unordered_map<Path, int, PathHash> class_by_path_;
   /// Per link: (class index, slot of this link in that class's `links`).
   /// The back-reference keeps swap-removal O(1) on class destruction.
   std::vector<std::vector<std::pair<int, int>>> link_classes_;
@@ -253,10 +308,12 @@ class Network {
   bool recompute_scheduled_ = false;
 
   // Completion-batch dispatch state: while fair_share_on_completion delivers
-  // its batch of callbacks, cancel() of a later flow in the same batch marks
-  // it suppressed here instead of failing (a hedged read cancelling a loser
-  // that finished in the winner's timestamp batch). Null outside dispatch.
-  std::vector<Flow>* dispatch_batch_ = nullptr;
+  // its batch of (id, slot) pairs in id order, cancel() of a later flow in
+  // the same batch marks it suppressed here instead of failing (a hedged
+  // read cancelling a loser that finished in the winner's timestamp batch).
+  // The batch's slots stay allocated until their turn.
+  std::vector<std::pair<FlowId, std::uint32_t>> batch_;
+  bool dispatching_ = false;
   std::size_t dispatch_pos_ = 0;
   std::vector<char> dispatch_suppressed_;
 
@@ -271,7 +328,8 @@ class Network {
   std::vector<double> scratch_residual_;
   std::vector<int> scratch_count_;
   std::vector<int> scratch_touched_;  ///< naive reference pass only
-  std::vector<std::vector<FlowId>> scratch_link_flows_;  ///< naive pass only
+  /// Naive pass only: per link, the slots of the flows crossing it.
+  std::vector<std::vector<std::uint32_t>> scratch_link_flows_;
 
   std::uint64_t flows_started_ = 0;
   std::uint64_t flows_completed_ = 0;
