@@ -1,7 +1,6 @@
 #include "dfs/sim/simulator.h"
 
 #include <cassert>
-#include <memory>
 #include <utility>
 
 namespace dfs::sim {
@@ -60,19 +59,37 @@ bool Simulator::cancel(EventId id) {
 }
 
 void Simulator::schedule_periodic(util::Seconds phase, util::Seconds period,
-                                  std::function<bool()> cb) {
-  assert(period > 0.0);
-  // Self-rescheduling closure: each firing re-arms the next one so the
-  // period survives arbitrarily long simulations without pre-populating
-  // the queue.
-  auto driver = std::make_shared<std::function<void()>>();
-  periodic_drivers_.push_back(driver);
-  *driver = [this, period, cb = std::move(cb),
-             weak = std::weak_ptr<std::function<void()>>(driver)]() {
-    if (!cb()) return;
-    if (const auto self = weak.lock()) schedule_in(period, *self);
-  };
-  schedule_in(phase, *driver);
+                                  SmallPredicate cb) {
+  assert(period > 0.0 && cb);
+  std::uint32_t index;
+  if (!free_drivers_.empty()) {
+    index = free_drivers_.back();
+    free_drivers_.pop_back();
+  } else {
+    index = static_cast<std::uint32_t>(drivers_.size());
+    drivers_.emplace_back();
+  }
+  drivers_[index] = PeriodicDriver{std::move(cb), period};
+  // Each firing re-arms the next one, so the period survives arbitrarily
+  // long simulations without pre-populating the queue.
+  schedule_in(phase, [this, index] { fire_periodic(index); });
+}
+
+void Simulator::fire_periodic(std::uint32_t index) {
+  firing_driver_ = index;
+  const bool again = drivers_[index].fn();
+  firing_driver_ = kNoDriver;
+  if (again) {
+    schedule_in(drivers_[index].period,
+                [this, index] { fire_periodic(index); });
+  } else {
+    release_driver(index);
+  }
+}
+
+void Simulator::release_driver(std::uint32_t index) {
+  drivers_[index].fn.reset();
+  free_drivers_.push_back(index);
 }
 
 util::Seconds Simulator::run(util::Seconds until) {
@@ -102,6 +119,11 @@ void Simulator::clear() {
     if (slots_[i].next_free == kOccupied) release_slot(i);
   }
   assert(pending_ == 0);
+  // Every driver's next firing was just dropped; the one whose body is
+  // running now (if any) re-arms or stops when that body returns.
+  for (std::uint32_t i = 0; i < drivers_.size(); ++i) {
+    if (drivers_[i].fn && i != firing_driver_) release_driver(i);
+  }
 }
 
 }  // namespace dfs::sim

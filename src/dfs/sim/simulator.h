@@ -1,8 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <deque>
 #include <queue>
 #include <vector>
 
@@ -59,19 +58,28 @@ class Simulator {
   bool cancel(EventId id);
 
   /// Schedule `cb` every `period` seconds starting at now()+phase, until
-  /// `cb` returns false or the simulation ends.
+  /// `cb` returns false or the simulation ends. The driver lives in an
+  /// indexed table; each firing schedules a two-word `[this, index]` event,
+  /// so a firing copies no closure.
   void schedule_periodic(util::Seconds phase, util::Seconds period,
-                         std::function<bool()> cb);
+                         SmallPredicate cb);
 
   /// Run until the event queue is empty, or until simulated time would pass
   /// `until` (default: run to completion). Returns the final time.
   util::Seconds run(util::Seconds until = -1.0);
 
-  /// Drop all pending events (used to stop periodic drivers at teardown).
+  /// Drop all pending events and stop every periodic driver (used at
+  /// teardown). Called from inside a periodic body, it spares that one
+  /// driver, which continues if its body returns true.
   void clear();
 
   /// Number of events executed so far (for microbenchmarks / sanity checks).
   std::uint64_t events_executed() const { return executed_; }
+
+  /// Number of periodic drivers still running (armed or firing).
+  std::size_t periodic_drivers() const {
+    return drivers_.size() - free_drivers_.size();
+  }
 
   /// Number of events currently pending. Exact: cancellation releases the
   /// slot immediately, so cancelled events never inflate the count (stale
@@ -103,8 +111,19 @@ class Simulator {
   static constexpr std::uint32_t kOccupied = 0xffffffffu;
   static constexpr std::uint32_t kFreeListEnd = 0xfffffffeu;
 
+  /// One self-rescheduling periodic driver. Stopped drivers' cells are
+  /// recycled through free_drivers_; the deque keeps a firing body in place
+  /// when that body starts another driver.
+  struct PeriodicDriver {
+    SmallPredicate fn;
+    util::Seconds period = 0.0;
+  };
+  static constexpr std::uint32_t kNoDriver = 0xffffffffu;
+
   std::uint32_t allocate_slot(Callback cb);
   void release_slot(std::uint32_t index);
+  void fire_periodic(std::uint32_t index);
+  void release_driver(std::uint32_t index);
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return EventId{(static_cast<std::uint64_t>(slot) << 32) | gen};
@@ -117,10 +136,9 @@ class Simulator {
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kFreeListEnd;
-  // Self-rescheduling periodic drivers; owned here (the closures hold only
-  // weak refs) so they are reclaimed with the simulator instead of leaking
-  // through a shared_ptr cycle.
-  std::vector<std::shared_ptr<std::function<void()>>> periodic_drivers_;
+  std::deque<PeriodicDriver> drivers_;
+  std::vector<std::uint32_t> free_drivers_;
+  std::uint32_t firing_driver_ = kNoDriver;
 };
 
 }  // namespace dfs::sim

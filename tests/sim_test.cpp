@@ -118,6 +118,94 @@ TEST(Simulator, PeriodicPhaseOffset) {
   EXPECT_DOUBLE_EQ(fires[2], 8.0);
 }
 
+TEST(Simulator, StoppedPeriodicDriverFreesItsEntry) {
+  // A driver that returns false leaves the table; a later driver reuses
+  // the entry, and both keep their own period and body.
+  Simulator sim;
+  std::vector<double> a_fires, b_fires;
+  sim.schedule_periodic(1.0, 1.0, [&] {
+    a_fires.push_back(sim.now());
+    return a_fires.size() < 2;
+  });
+  EXPECT_EQ(sim.periodic_drivers(), 1u);
+  sim.run();
+  EXPECT_EQ(a_fires, (std::vector<double>{1.0, 2.0}));
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.periodic_drivers(), 0u);
+  sim.schedule_periodic(0.5, 2.0, [&] {
+    b_fires.push_back(sim.now());
+    return b_fires.size() < 3;
+  });
+  EXPECT_EQ(sim.periodic_drivers(), 1u);
+  sim.run();
+  EXPECT_EQ(a_fires.size(), 2u);
+  EXPECT_EQ(b_fires, (std::vector<double>{2.5, 4.5, 6.5}));
+  EXPECT_EQ(sim.periodic_drivers(), 0u);
+}
+
+TEST(Simulator, PeriodicDriversInterleaveInSchedulingOrder) {
+  // Same-instant firings of two drivers follow the FIFO tie-break of the
+  // events that armed them, firing after firing.
+  Simulator sim;
+  std::vector<int> order;
+  int fires[2] = {0, 0};
+  for (int d = 0; d < 2; ++d) {
+    sim.schedule_periodic(1.0, 1.0, [&order, &fires, d] {
+      order.push_back(d + 1);
+      return ++fires[d] < 3;
+    });
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1, 2, 1, 2}));
+}
+
+TEST(Simulator, ClearStopsPendingPeriodicDrivers) {
+  Simulator sim;
+  int fired = 0;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_periodic(1.0, 1.0, [&] {
+      ++fired;
+      return true;
+    });
+  }
+  sim.run(2.5);
+  EXPECT_EQ(fired, 6);
+  EXPECT_EQ(sim.periodic_drivers(), 3u);
+  sim.clear();
+  EXPECT_EQ(sim.periodic_drivers(), 0u);
+  EXPECT_EQ(sim.events_pending(), 0u);
+  sim.run();
+  EXPECT_EQ(fired, 6);
+  // The freed entries serve new drivers.
+  sim.schedule_periodic(0.0, 1.0, [&] {
+    ++fired;
+    return false;
+  });
+  sim.run();
+  EXPECT_EQ(fired, 7);
+  EXPECT_EQ(sim.periodic_drivers(), 0u);
+}
+
+TEST(Simulator, ClearFromInsidePeriodicBodySparesThatDriver) {
+  // The firing driver re-arms when its body returns true; every other
+  // driver's pending firing is gone.
+  Simulator sim;
+  int self_fires = 0, other_fires = 0;
+  sim.schedule_periodic(1.0, 1.0, [&] {
+    ++other_fires;
+    return true;
+  });
+  sim.schedule_periodic(1.5, 1.0, [&] {
+    if (++self_fires == 1) sim.clear();
+    return self_fires < 3;
+  });
+  sim.run();
+  EXPECT_EQ(other_fires, 1);
+  EXPECT_EQ(self_fires, 3);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.5);
+  EXPECT_EQ(sim.periodic_drivers(), 0u);
+}
+
 TEST(Simulator, EventsExecutedCount) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.schedule_in(i, [] {});
