@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <string>
 
 #include "dfs/core/degraded_first.h"
 #include "dfs/ec/reed_solomon.h"
@@ -63,8 +64,9 @@ int main() {
       degraded_positions[di++] = static_cast<int>(i) + 1;
     }
     t.add_row({std::to_string(i + 1),
-               "B" + std::to_string(task.block.stripe) +
-                   std::to_string(task.block.index),
+               std::string("B")
+                   .append(std::to_string(task.block.stripe))
+                   .append(std::to_string(task.block.index)),
                mapreduce::to_string(task.kind),
                std::to_string(task.exec_node),
                util::Table::num(task.assign_time, 1),

@@ -9,6 +9,7 @@
 // 18-43% in (c); DF flat across (a); DF equal at 500 Mbps and 1 Gbps in (c).
 
 #include <iostream>
+#include <string>
 
 #include "dfs/analysis/model.h"
 #include "dfs/util/table.h"
@@ -40,7 +41,13 @@ int main() {
       analysis::ModelParams p;
       p.n = n;
       p.k = k;
-      add_row(t, "(" + std::to_string(n) + "," + std::to_string(k) + ")", p);
+      add_row(t,
+              std::string("(")
+                  .append(std::to_string(n))
+                  .append(",")
+                  .append(std::to_string(k))
+                  .append(")"),
+              p);
     }
     std::cout << t << "Paper: DF cuts LF by 15%-32%, growing with k; DF flat.\n";
   }

@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <iostream>
+#include <string>
 
 #include "common.h"
 #include "dfs/core/degraded_first.h"
@@ -107,7 +108,12 @@ int main(int argc, char** argv) {
       workload::SimJobOptions opts;
       opts.n = n;
       opts.k = k;
-      panel_rows(t, "(" + std::to_string(n) + "," + std::to_string(k) + ")",
+      panel_rows(t,
+                 std::string("(")
+                     .append(std::to_string(n))
+                     .append(",")
+                     .append(std::to_string(k))
+                     .append(")"),
                  cfg, opts, single_failure(cfg.topology));
     }
     std::cout << t << "Paper: EDF cut grows from 17.4% at (8,6) to 32.9% at "

@@ -12,6 +12,7 @@
 // Usage: fig9_testbed [--seeds N]   (default 5 runs, like the paper)
 
 #include <iostream>
+#include <string>
 
 #include "common.h"
 #include "dfs/core/degraded_first.h"
@@ -64,12 +65,15 @@ int main(int argc, char** argv) {
       }
       const Bar bl = bar(lf_rt);
       const Bar be = bar(edf_rt);
+      const auto range = [](const Bar& b) {
+        return std::string("[")
+            .append(util::Table::num(b.min, 1))
+            .append(",")
+            .append(util::Table::num(b.max, 1))
+            .append("]");
+      };
       t.add_row({workload::to_string(kind), util::Table::num(bl.mean, 1),
-                 "[" + util::Table::num(bl.min, 1) + "," +
-                     util::Table::num(bl.max, 1) + "]",
-                 util::Table::num(be.mean, 1),
-                 "[" + util::Table::num(be.min, 1) + "," +
-                     util::Table::num(be.max, 1) + "]",
+                 range(bl), util::Table::num(be.mean, 1), range(be),
                  util::Table::pct(util::reduction_percent(bl.mean, be.mean),
                                   1)});
     }

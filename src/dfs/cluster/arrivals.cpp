@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dfs/ec/reed_solomon.h"
+
 namespace dfs::cluster {
 
 ArrivalModel parse_arrival_model(const std::string& name) {
@@ -151,8 +153,9 @@ void ArrivalProcess::submit_job() {
       opts.num_blocks = stripes * opts.k;
     }
   }
+  if (!code_) code_ = ec::make_reed_solomon(opts.n, opts.k);
   mapreduce::JobInput job =
-      workload::make_sim_job(next_job_id_++, opts, topology_, rng_);
+      workload::make_sim_job(next_job_id_++, opts, topology_, rng_, code_);
   job.spec.tenant = tenant;
   master_.submit(job);
   ++submitted_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,9 @@ class ArrivalProcess {
   util::Rng rng_;
   int submitted_ = 0;
   int next_job_id_ = 0;
+  /// The one code every submitted job shares, built at the first
+  /// submission (so constructing the process costs nothing).
+  std::shared_ptr<const ec::ErasureCode> code_;
   std::vector<double> tenant_share_;  ///< normalized arrival shares
   std::vector<long> tenant_issued_;   ///< jobs tagged per class so far
 };

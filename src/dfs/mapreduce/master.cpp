@@ -44,6 +44,16 @@ Master::Master(sim::Simulator& simulator, net::Network& network,
       config.fetch_supervised() ? rng.fork() : util::Rng());
 }
 
+double Master::expected_degraded_cost(
+    const std::shared_ptr<const ec::ErasureCode>& code) {
+  auto [it, inserted] = expected_cost_by_code_.try_emplace(code.get());
+  if (inserted) {
+    it->second = {code,
+                  storage::expected_single_failure_blocks(*code, cost_model_)};
+  }
+  return it->second.second;
+}
+
 void Master::submit(const JobInput& input) {
   if (started_ && !admission_open_) {
     throw std::logic_error(
@@ -64,7 +74,7 @@ void Master::submit(const JobInput& input) {
   j.planner = std::make_unique<storage::DegradedReadPlanner>(
       *j.layout, state_.cfg.topology, *j.code, selection_,
       cost_model_);
-  j.expected_degraded_cost = j.planner->expected_single_failure_blocks();
+  j.expected_degraded_cost = expected_degraded_cost(j.code);
   j.rng = rng_.fork();
   j.metrics.id = j.spec.id;
   j.metrics.tenant = j.spec.tenant;
@@ -324,8 +334,9 @@ util::Seconds Master::degraded_read_threshold() const {
   for (const core::JobId id : state_.active_jobs) {
     const JobState& j = state_.job(id);
     if (j.m < j.total_m) {
-      return j.planner->expected_cross_rack_blocks() * state_.cfg.block_size /
-             w;
+      return storage::expected_cross_rack_blocks(state_.cfg.topology,
+                                                 j.expected_degraded_cost) *
+             state_.cfg.block_size / w;
     }
   }
   return 0.0;

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dfs/core/admission.h"
@@ -129,6 +132,10 @@ class Master final : public core::SchedulerContext {
 
  private:
   void activate_job(std::size_t index);
+  /// storage::expected_single_failure_blocks under cost_model_, solved once
+  /// per code object.
+  double expected_degraded_cost(
+      const std::shared_ptr<const ec::ErasureCode>& code);
   void start_heartbeat(NodeId slave);
   void on_heartbeat(NodeId slave);
 
@@ -143,6 +150,11 @@ class Master final : public core::SchedulerContext {
   util::Rng& rng_;
   storage::SourceSelection selection_;
   storage::RecoveryCostModel cost_model_;
+  /// expected_degraded_cost() memo by code address; each entry holds its
+  /// code so the address cannot be reused by a different code.
+  std::unordered_map<const ec::ErasureCode*,
+                     std::pair<std::shared_ptr<const ec::ErasureCode>, double>>
+      expected_cost_by_code_;
   bool started_ = false;
   /// Scratch for running_jobs(): filled per call, valid until the next one.
   mutable std::vector<core::JobId> running_jobs_scratch_;

@@ -50,6 +50,7 @@ Network::Network(sim::Simulator& simulator, const Topology& topology,
   link_visit_.assign(links_.size(), 0);
   scratch_residual_.assign(links_.size(), 0.0);
   scratch_count_.assign(links_.size(), 0);
+  scratch_frozen_.assign(links_.size(), 0);
   scratch_link_flows_.resize(links_.size());
 }
 
@@ -135,8 +136,8 @@ bool Network::cancel(FlowId id) {
     ++flows_cancelled_;
     return true;
   }
-  const auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) {
+  const std::uint32_t* found = slot_of_.find(id);
+  if (found == nullptr) {
     // Cancel-after-completion inside the current dispatch batch: the flow
     // left slot_of_ when the batch was collected, but its callback has not
     // fired yet — suppress it and count the flow cancelled. Flows at or
@@ -153,8 +154,8 @@ bool Network::cancel(FlowId id) {
     }
     return false;
   }
-  const std::uint32_t slot = it->second;
-  slot_of_.erase(it);
+  const std::uint32_t slot = *found;
+  slot_of_.erase(id);
   Flow& flow = flows_[slot];
   if (model_ == ContentionModel::kMaxMinFairShare) {
     fair_share_advance();
@@ -302,7 +303,7 @@ void Network::fair_share_add(std::uint32_t slot) {
   ++c.count;
   heap_push(c, Member{flow.size, slot});
   [[maybe_unused]] const bool inserted =
-      slot_of_.emplace(flow.id, slot).second;
+      slot_of_.insert(flow.id, slot);
   assert(inserted);
   fair_share_mark_dirty(flow.links);
 }
@@ -494,6 +495,12 @@ void Network::fair_share_waterfill_component() {
       }
     }
     assert(bottleneck >= 0 && "every class crosses at least one limited link");
+    // Freeze first, then charge the links: every subtraction of a round is
+    // the same best_share, so the per-link sequence does not depend on the
+    // order of the classes, and a link whose unfrozen count fell to zero
+    // this round is never read again in this pass (the scan skips it and
+    // the next pass re-seeds it), so it is not charged at all.
+    round_links_.clear();
     for (const auto& entry :
          link_classes_[static_cast<std::size_t>(bottleneck)]) {
       FlowClass& c = classes_[static_cast<std::size_t>(entry.first)];
@@ -501,14 +508,23 @@ void Network::fair_share_waterfill_component() {
       c.wf_rate = best_share;
       unfrozen -= c.count;
       for (const int link : c.links) {
-        double& r = scratch_residual_[static_cast<std::size_t>(link)];
-        // One subtraction per member flow, not one fused count*share
-        // multiply: this replays the naive per-flow pass's floating-point
-        // sequence exactly, keeping the aggregated engine bit-identical to
-        // the reference (and to the pre-aggregation engine's outputs).
-        for (int m = 0; m < c.count; ++m) r -= best_share;
-        scratch_count_[static_cast<std::size_t>(link)] -= c.count;
+        const auto l = static_cast<std::size_t>(link);
+        if (scratch_frozen_[l] == 0) round_links_.push_back(link);
+        scratch_frozen_[l] += c.count;
+        scratch_count_[l] -= c.count;
       }
+    }
+    for (const int link : round_links_) {
+      const auto l = static_cast<std::size_t>(link);
+      const int frozen = scratch_frozen_[l];
+      scratch_frozen_[l] = 0;
+      if (scratch_count_[l] <= 0) continue;
+      // One subtraction per member flow, not one fused count*share
+      // multiply: this replays the naive per-flow pass's floating-point
+      // sequence exactly, keeping the aggregated engine bit-identical to
+      // the reference (and to the pre-aggregation engine's outputs).
+      double& r = scratch_residual_[l];
+      for (int m = 0; m < frozen; ++m) r -= best_share;
     }
   }
   for (const int cid : comp_classes_) {
@@ -729,7 +745,7 @@ void Network::fifo_try_start_pending() {
     }
     const util::Seconds duration = flow.size / bottleneck;
     [[maybe_unused]] const bool inserted =
-        slot_of_.emplace(flow.id, slot).second;
+        slot_of_.insert(flow.id, slot);
     assert(inserted);
     flow.completion =
         sim_.schedule_in(duration, [this, slot] { fifo_complete(slot); });

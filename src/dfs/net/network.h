@@ -12,6 +12,7 @@
 #include "dfs/net/topology.h"
 #include "dfs/sim/simulator.h"
 #include "dfs/util/epoch.h"
+#include "dfs/util/flat_id_map.h"
 #include "dfs/util/units.h"
 
 namespace dfs::util {
@@ -55,7 +56,7 @@ using FlowId = std::uint64_t;
 /// callbacks fire at the simulated completion time.
 ///
 /// The max–min fair-share model allocates rates by water-filling, organized
-/// around four exact optimizations (docs/performance.md has the full
+/// around five exact optimizations (docs/performance.md has the full
 /// derivation):
 ///
 /// - **Flow classes.** Flows with the same contended path receive the same
@@ -79,6 +80,14 @@ using FlowId = std::uint64_t;
 ///   over classes of `front / rate`, and a completion batch pops only the
 ///   fronts that crossed the line. Same-instant completions are delivered
 ///   in ascending flow id order.
+/// - **Only live links are charged.** A water-filling round freezes the
+///   bottleneck's classes first, then subtracts the frozen members' shares
+///   (one subtraction per member, replaying the per-flow reference's
+///   rounding) only from links that still carry unfrozen flows; a link
+///   drained in that round is never read again in the pass.
+///
+/// Cancellable flows are found by id through a flat open-addressing table
+/// (util::FlatIdMap), which allocates only when it doubles, not per flow.
 class Network {
  public:
   /// Counter snapshot for observability (JSONL reporting in the tools).
@@ -285,8 +294,9 @@ class Network {
   std::vector<Flow> flows_;  ///< slab; free slots on free_flows_
   std::vector<std::uint32_t> free_flows_;
   /// Cancellable flows (fair-share active, FIFO started) by id. Only looked
-  /// up, never iterated.
-  std::unordered_map<FlowId, std::uint32_t> slot_of_;
+  /// up, never iterated; a flat table, so adding and removing a flow
+  /// allocates nothing (the table only grows by doubling).
+  util::FlatIdMap<> slot_of_;
   std::deque<std::uint32_t> fifo_pending_;  ///< slots not yet started
 
   // Fair-share bookkeeping.
@@ -327,6 +337,10 @@ class Network {
   std::vector<int> comp_classes_;
   std::vector<double> scratch_residual_;
   std::vector<int> scratch_count_;
+  /// Per water-filling round: members frozen on each link the round
+  /// touched (zero again when the round ends), and those links.
+  std::vector<int> scratch_frozen_;
+  std::vector<int> round_links_;
   std::vector<int> scratch_touched_;  ///< naive reference pass only
   /// Naive pass only: per link, the slots of the flows crossing it.
   std::vector<std::vector<std::uint32_t>> scratch_link_flows_;

@@ -41,7 +41,12 @@ EventId Simulator::schedule_at(util::Seconds at, Callback cb) {
   assert(at >= now_);
   const std::uint32_t index = allocate_slot(std::move(cb));
   const std::uint32_t gen = slots_[index].gen;
-  heap_.push(Event{at, next_seq_++, index, gen});
+  const std::uint64_t seq = next_seq_++;
+  if (at == now_) {
+    lane_.push_back(LaneEntry{index, gen});
+  } else {
+    heap_.push(Event{at, seq, index, gen});
+  }
   return make_id(index, gen);
 }
 
@@ -52,8 +57,8 @@ bool Simulator::cancel(EventId id) {
   if (index >= slots_.size()) return false;
   Slot& slot = slots_[index];
   if (slot.gen != gen || slot.next_free != kOccupied) return false;
-  // The heap entry stays behind as a stale (slot, gen) pair; run() skips it
-  // when it surfaces because the generation no longer matches.
+  // The heap or lane entry stays behind as a stale (slot, gen) pair; run()
+  // skips it when it surfaces because the generation no longer matches.
   release_slot(index);
   return true;
 }
@@ -93,28 +98,50 @@ void Simulator::release_driver(std::uint32_t index) {
 }
 
 util::Seconds Simulator::run(util::Seconds until) {
-  while (!heap_.empty()) {
-    const Event ev = heap_.top();
-    if (until >= 0.0 && ev.time > until) {
-      now_ = until;
-      return now_;
+  for (;;) {
+    // (time, seq) order: heap entries at now_ were queued before the clock
+    // reached now_, so they precede every lane entry; the lane drains
+    // before the heap advances the clock.
+    util::Seconds time;
+    std::uint32_t index;
+    std::uint32_t gen;
+    if (lane_head_ == lane_.size() ||
+        (!heap_.empty() && heap_.top().time == now_)) {
+      if (heap_.empty()) return now_;
+      const Event& ev = heap_.top();
+      if (until >= 0.0 && ev.time > until) break;
+      time = ev.time;
+      index = ev.slot;
+      gen = ev.gen;
+      heap_.pop();
+    } else {
+      if (until >= 0.0 && now_ > until) break;
+      time = now_;
+      index = lane_[lane_head_].slot;
+      gen = lane_[lane_head_].gen;
+      if (++lane_head_ == lane_.size()) {
+        lane_.clear();
+        lane_head_ = 0;
+      }
     }
-    heap_.pop();
-    Slot& slot = slots_[ev.slot];
-    if (slot.gen != ev.gen || slot.next_free != kOccupied) {
+    Slot& slot = slots_[index];
+    if (slot.gen != gen || slot.next_free != kOccupied) {
       continue;  // cancelled (slot released, possibly recycled since)
     }
     SmallFn fn = std::move(slot.fn);
-    release_slot(ev.slot);
-    now_ = ev.time;
+    release_slot(index);
+    now_ = time;
     ++executed_;
     if (fn) fn();
   }
+  now_ = until;
   return now_;
 }
 
 void Simulator::clear() {
   while (!heap_.empty()) heap_.pop();
+  lane_.clear();
+  lane_head_ = 0;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].next_free == kOccupied) release_slot(i);
   }

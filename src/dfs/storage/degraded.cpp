@@ -71,12 +71,13 @@ DegradedReadPlanner::DegradedReadPlanner(const StorageLayout& layout,
       topo_(topo),
       code_(code),
       selection_(selection),
-      cost_model_(cost_model),
-      expected_blocks_(static_cast<double>(code.k())) {
-  // Cache the expected single-failure fetch volume: for each native shard,
-  // the cheapest eligible option with every other shard available. The
-  // topology-independent byte count (weights do not enter — the caller uses
-  // this as a volume) keeps the per-heartbeat threshold query O(1).
+      cost_model_(cost_model) {}
+
+double expected_single_failure_blocks(const ec::ErasureCode& code,
+                                      const RecoveryCostModel& cost_model) {
+  // For each native shard, the cheapest eligible option with every other
+  // shard available. The byte count is topology-independent (weights do
+  // not enter: the caller uses this as a volume).
   double sum = 0.0;
   int counted = 0;
   std::vector<int> all_others;
@@ -90,14 +91,20 @@ DegradedReadPlanner::DegradedReadPlanner(const StorageLayout& layout,
     if (!plan) continue;
     double best = std::numeric_limits<double>::infinity();
     for (const ec::RecoveryOption& opt : plan->options) {
-      if (!eligible(opt, cost_model_)) continue;
+      if (!eligible(opt, cost_model)) continue;
       best = std::min(best, opt.total_fraction());
     }
     if (best == std::numeric_limits<double>::infinity()) continue;
     sum += best;
     ++counted;
   }
-  if (counted > 0) expected_blocks_ = sum / counted;
+  return counted > 0 ? sum / counted : static_cast<double>(code.k());
+}
+
+double expected_cross_rack_blocks(const net::Topology& topo,
+                                  double expected_blocks) {
+  const double r = topo.num_racks();
+  return (r - 1.0) / r * expected_blocks;
 }
 
 double DegradedReadPlanner::option_cost(const ec::RecoveryOption& option,
@@ -246,11 +253,6 @@ std::optional<HedgedPlan> DegradedReadPlanner::plan_hedged(
   }
   out.options = std::move(*plan);
   return out;
-}
-
-double DegradedReadPlanner::expected_cross_rack_blocks() const {
-  const double r = topo_.num_racks();
-  return (r - 1.0) / r * expected_blocks_;
 }
 
 }  // namespace dfs::storage

@@ -106,18 +106,6 @@ class DegradedReadPlanner {
   const ec::ErasureCode& code() const { return code_; }
   const StorageLayout& layout() const { return layout_; }
 
-  /// Expected blocks one single-failure degraded read downloads under this
-  /// planner's cost model (mean over the code's native shards, every other
-  /// shard available): k for MDS codes, k/l for an LRC, (k + |G|)/2 blocks
-  /// for Hitchhiker-XOR. Cached at construction.
-  double expected_single_failure_blocks() const { return expected_blocks_; }
-
-  /// Expected cross-rack bytes one degraded read downloads, under random
-  /// source selection — the paper's (R-1)/R * k * S estimate divided out of
-  /// S, with k generalized to the cost model's expected fetch volume. Used
-  /// for the rack-awareness threshold.
-  double expected_cross_rack_blocks() const;
-
  private:
   /// Price one candidate: bytes fetched weighted by the rack boundary each
   /// source crosses relative to `reader`.
@@ -129,7 +117,21 @@ class DegradedReadPlanner {
   const ec::ErasureCode& code_;
   SourceSelection selection_;
   RecoveryCostModel cost_model_;
-  double expected_blocks_;
 };
+
+/// Expected blocks one single-failure degraded read downloads under
+/// `cost_model` (mean over the code's native shards, every other shard
+/// available): k for MDS codes, k/l for an LRC, (k + |G|)/2 blocks for
+/// Hitchhiker-XOR. It costs one recovery_plan solve per native shard, so
+/// callers compute it once per (code, cost model), not once per job.
+double expected_single_failure_blocks(const ec::ErasureCode& code,
+                                      const RecoveryCostModel& cost_model);
+
+/// Expected cross-rack blocks one degraded read downloads under random
+/// source selection: the paper's (R-1)/R * k * S estimate divided out of S,
+/// with k generalized to `expected_blocks` (see
+/// expected_single_failure_blocks). Used for the rack-awareness threshold.
+double expected_cross_rack_blocks(const net::Topology& topo,
+                                  double expected_blocks);
 
 }  // namespace dfs::storage

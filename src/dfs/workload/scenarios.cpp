@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "dfs/ec/reed_solomon.h"
 
@@ -76,7 +77,8 @@ ClusterConfig testbed_cluster() {
 }
 
 JobInput make_sim_job(int id, const SimJobOptions& options,
-                      const net::Topology& topology, util::Rng& rng) {
+                      const net::Topology& topology, util::Rng& rng,
+                      std::shared_ptr<const ec::ErasureCode> code) {
   JobInput job;
   job.spec.id = id;
   job.spec.map_time = options.map_time;
@@ -93,8 +95,14 @@ JobInput make_sim_job(int id, const SimJobOptions& options,
                                              options.skew)
           : storage::random_rack_constrained_layout(
                 options.num_blocks, options.n, options.k, topology, rng));
-  job.code = ec::make_reed_solomon(options.n, options.k);
+  job.code = std::move(code);
   return job;
+}
+
+JobInput make_sim_job(int id, const SimJobOptions& options,
+                      const net::Topology& topology, util::Rng& rng) {
+  return make_sim_job(id, options, topology, rng,
+                      ec::make_reed_solomon(options.n, options.k));
 }
 
 std::vector<JobInput> make_multi_job_workload(int count,
@@ -104,11 +112,13 @@ std::vector<JobInput> make_multi_job_workload(int count,
                                               util::Rng& rng) {
   std::vector<JobInput> jobs;
   jobs.reserve(static_cast<std::size_t>(count));
+  const std::shared_ptr<const ec::ErasureCode> code =
+      ec::make_reed_solomon(options.n, options.k);
   util::Seconds at = 0.0;
   for (int i = 0; i < count; ++i) {
     SimJobOptions opts = options;
     opts.submit_time = at;
-    jobs.push_back(make_sim_job(i, opts, topology, rng));
+    jobs.push_back(make_sim_job(i, opts, topology, rng, code));
     at += rng.exponential(mean_interarrival);
   }
   return jobs;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,14 @@ struct SimJobOptions {
 };
 
 /// Build one job over a fresh randomly-placed erasure-coded file (§III
-/// placement rule, parity declustering).
+/// placement rule, parity declustering), coded with `code`, which must be
+/// an (options.n, options.k) code. Jobs of one workload share one code.
+mapreduce::JobInput make_sim_job(int id, const SimJobOptions& options,
+                                 const net::Topology& topology,
+                                 util::Rng& rng,
+                                 std::shared_ptr<const ec::ErasureCode> code);
+
+/// As above, with a fresh RS(options.n, options.k) code.
 mapreduce::JobInput make_sim_job(int id, const SimJobOptions& options,
                                  const net::Topology& topology,
                                  util::Rng& rng);

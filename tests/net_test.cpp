@@ -878,6 +878,75 @@ TEST(Network, FairShareTiedClassMembersMatchPinnedChecksum) {
   }
 }
 
+TEST(Network, FairShareMultiRoundWaterfillMatchesPinnedChecksum) {
+  // Multi-round water-filling: node, rack and core links all limited, so a
+  // component freezes its classes over several rounds, and a frozen class
+  // crosses non-bottleneck links of which some drain in that same round
+  // and some stay live for later rounds. Classes have unequal
+  // multiplicities (1-4 flows on one node pair, of unequal sizes). The
+  // checksum was pinned from the engine that subtracted every frozen
+  // member from every link it crosses, drained or not, with and without
+  // the naive cross-check.
+  constexpr double kChecksum = 0x1.5618d2f93e6a5p+22;
+  struct Outcome {
+    double checksum = 0.0;
+    std::uint64_t completed = 0;
+    std::uint64_t cancelled = 0;
+  };
+  const auto run = [](bool cross_check) {
+    sim::Simulator sim;
+    const Topology topo(4, 10);
+    LinkConfig links;
+    links.node_up = util::megabits_per_sec(600.0);
+    links.node_down = util::megabits_per_sec(450.0);
+    links.rack_up = util::gigabits_per_sec(1.0);
+    links.rack_down = util::megabits_per_sec(800.0);
+    links.core = util::gigabits_per_sec(2.5);
+    Network net(sim, topo, links);
+    net.set_fair_share_cross_check(cross_check);
+    util::Rng rng(4242);
+    Outcome out;
+    long tag = 0;
+    for (int w = 0; w < 50; ++w) {
+      const double t = w * 0.3;
+      auto wave = std::make_shared<std::vector<FlowId>>();
+      for (int g = 0; g < 6; ++g) {
+        const auto src = static_cast<NodeId>(rng.uniform_int(0, 39));
+        const auto dst = static_cast<NodeId>(rng.uniform_int(0, 39));
+        const int multiplicity = static_cast<int>(rng.uniform_int(1, 4));
+        const double size = rng.uniform(5e6, 4e7);
+        for (int i = 0; i < multiplicity; ++i) {
+          const long mytag = ++tag;
+          const double bytes = size * (1.0 + 0.125 * i);
+          sim.schedule_at(t, [&, wave, src, dst, bytes, mytag] {
+            wave->push_back(net.transfer(src, dst, bytes, [&out, &sim, mytag] {
+              out.checksum += sim.now() * static_cast<double>(mytag);
+              ++out.completed;
+            }));
+          });
+        }
+      }
+      sim.schedule_at(t + rng.uniform(0.05, 0.6), [&, wave] {
+        for (std::size_t i = 2; i < wave->size(); i += 5) {
+          if (net.cancel((*wave)[i])) ++out.cancelled;
+        }
+      });
+    }
+    sim.run();
+    EXPECT_EQ(net.active_flow_count(), 0);
+    EXPECT_EQ(out.completed + out.cancelled, net.stats().flows_started);
+    EXPECT_GT(net.stats().component_recomputes, 0u);
+    return out;
+  };
+  for (const bool cross_check : {true, false}) {
+    SCOPED_TRACE(cross_check ? "cross_check" : "plain");
+    const Outcome out = run(cross_check);
+    EXPECT_EQ(out.checksum, kChecksum);
+    EXPECT_EQ(out.completed, 595u);
+    EXPECT_EQ(out.cancelled, 143u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModels, ContentionParamTest,
                          ::testing::Values(ContentionModel::kMaxMinFairShare,
                                            ContentionModel::kExclusiveFifo),

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "dfs/sim/simulator.h"
@@ -305,6 +311,190 @@ TEST(Simulator, ManyEventsStressOrder) {
   sim.run();
   EXPECT_TRUE(monotonic);
   EXPECT_EQ(sim.events_executed(), 10000u);
+}
+
+// --- same-instant lane -------------------------------------------------------
+
+TEST(Simulator, ZeroDelayEventRunsAfterEqualTimeHeapEvents) {
+  // E1 and E2 are both queued for t=1 before the clock gets there; E1
+  // schedules Z for t=1 too. Z has the larger seq, so it runs after E2: the
+  // lane must not be drained before the heap entries at the same instant.
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule_at(1.0, [&] {
+    order.push_back('1');
+    sim.schedule_in(0.0, [&] { order.push_back('Z'); });
+  });
+  sim.schedule_at(1.0, [&] { order.push_back('2'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'1', '2', 'Z'}));
+}
+
+TEST(Simulator, CancelledLaneEntryNeverRuns) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] {
+    const EventId a = sim.schedule_now([&] { order.push_back(0); });
+    sim.schedule_now([&] { order.push_back(1); });
+    const EventId c = sim.schedule_now([&] { order.push_back(2); });
+    EXPECT_TRUE(sim.cancel(a));
+    EXPECT_FALSE(sim.cancel(a));
+    EXPECT_TRUE(sim.cancel(c));
+    EXPECT_EQ(sim.events_pending(), 1u);
+    // A new lane entry may reuse a cancelled slot; the stale lane entries
+    // must still be skipped and the new one run in its own turn.
+    sim.schedule_now([&] { order.push_back(3); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 3u);
+}
+
+TEST(Simulator, ClearDropsPendingLaneEntries) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] {
+    sim.schedule_now([&] { order.push_back(0); });
+    sim.schedule_in(1.0, [&] { order.push_back(1); });
+    sim.schedule_now([&] { order.push_back(2); });
+    sim.clear();
+    EXPECT_EQ(sim.events_pending(), 0u);
+    sim.schedule_now([&] { order.push_back(3); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{3}));
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.events_pending(), 0u);
+}
+
+TEST(Simulator, RunUntilDrainsTheLaneBeforeStopping) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] {
+    order.push_back(0);
+    sim.schedule_in(2.0, [&] { order.push_back(2); });
+    sim.schedule_now([&] { order.push_back(1); });
+  });
+  EXPECT_DOUBLE_EQ(sim.run(2.0), 2.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.events_pending(), 1u);
+  // Scheduling at the stopped clock joins the lane, ahead of t=3.
+  sim.schedule_at(sim.now(), [&] { order.push_back(5); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 5, 2}));
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+}
+
+TEST(Simulator, ScheduleAtNowBeforeRunKeepsFifoOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(0.5, [&] { order.push_back(2); });
+  sim.schedule_at(0.0, [&] { order.push_back(0); });
+  sim.schedule_now([&] {
+    order.push_back(1);
+    sim.schedule_now([&] { order.push_back(3); });
+  });
+  EXPECT_EQ(sim.events_pending(), 3u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 2}));
+}
+
+/// A (time, seq) reference kernel: a linear scan for the earliest pending
+/// event, ties broken by scheduling order. No lane, no heap.
+class ReferenceKernel {
+ public:
+  double now() const { return now_; }
+
+  std::size_t schedule_in(double delay, std::function<void()> fn) {
+    events_.push_back(Entry{now_ + delay, std::move(fn), true});
+    return events_.size() - 1;
+  }
+
+  bool cancel(std::size_t h) {
+    if (!events_[h].pending) return false;
+    events_[h].pending = false;
+    return true;
+  }
+
+  void run() {
+    for (;;) {
+      std::size_t next = events_.size();
+      for (std::size_t i = 0; i < events_.size(); ++i) {
+        if (!events_[i].pending) continue;
+        if (next == events_.size() || events_[i].time < events_[next].time) {
+          next = i;
+        }
+      }
+      if (next == events_.size()) return;
+      events_[next].pending = false;
+      now_ = events_[next].time;
+      const std::function<void()> fn = std::move(events_[next].fn);
+      fn();
+    }
+  }
+
+ private:
+  struct Entry {
+    double time;
+    std::function<void()> fn;
+    bool pending;
+  };
+  std::vector<Entry> events_;
+  double now_ = 0.0;
+};
+
+struct ScriptTrace {
+  std::vector<std::pair<int, double>> fired;  ///< (event id, time)
+  std::vector<bool> cancels;                  ///< each cancel()'s result
+  int zero_delay = 0;
+};
+
+/// Drives `Kernel` with a seeded script: every event records itself, then
+/// schedules up to three children (two in five at zero delay, the rest at a
+/// few shared future instants, so equal-time heap entries and lane entries
+/// mix) and one time in three cancels a random event, pending or not.
+template <typename Kernel>
+ScriptTrace run_script(std::uint64_t seed) {
+  Kernel kernel;
+  std::mt19937_64 rng(seed);
+  ScriptTrace trace;
+  std::vector<decltype(kernel.schedule_in(0.0, [] {}))> handles;
+  std::function<void(int)> fire;
+  const auto spawn = [&] {
+    static constexpr std::array<double, 5> kDelays{0.0, 0.0, 0.5, 1.0, 2.5};
+    const double delay = kDelays[rng() % kDelays.size()];
+    if (delay == 0.0) ++trace.zero_delay;
+    const int id = static_cast<int>(handles.size());
+    handles.push_back(kernel.schedule_in(delay, [&fire, id] { fire(id); }));
+  };
+  fire = [&](int id) {
+    trace.fired.emplace_back(id, kernel.now());
+    const auto children = static_cast<int>(rng() % 4);
+    for (int c = 0; c < children && handles.size() < 3000; ++c) spawn();
+    if (rng() % 3 == 0) {
+      trace.cancels.push_back(kernel.cancel(handles[rng() % handles.size()]));
+    }
+  };
+  for (int i = 0; i < 20; ++i) spawn();
+  kernel.run();
+  return trace;
+}
+
+TEST(Simulator, MatchesReferenceTimeSeqOrderUnderNestedZeroDelayAndCancels) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    const ScriptTrace got = run_script<Simulator>(seed);
+    const ScriptTrace want = run_script<ReferenceKernel>(seed);
+    EXPECT_EQ(got.fired, want.fired);
+    EXPECT_EQ(got.cancels, want.cancels);
+    // The script did exercise the lane, cancels that hit and cancels that
+    // missed.
+    EXPECT_GT(got.fired.size(), 1000u);
+    EXPECT_GT(got.zero_delay, 500);
+    EXPECT_NE(std::count(got.cancels.begin(), got.cancels.end(), true), 0);
+    EXPECT_NE(std::count(got.cancels.begin(), got.cancels.end(), false), 0);
+  }
 }
 
 }  // namespace

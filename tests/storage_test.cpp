@@ -492,10 +492,11 @@ TEST_F(PlannerTest, UnrecoverableStripeReturnsNullopt) {
 }
 
 TEST_F(PlannerTest, ExpectedCrossRackBlocksMatchesFormula) {
-  const DegradedReadPlanner planner(layout_, topo_, code_,
-                                    SourceSelection::kRandom);
   // (R-1)/R * k = 3/4 * 12 = 9.
-  EXPECT_DOUBLE_EQ(planner.expected_cross_rack_blocks(), 9.0);
+  EXPECT_DOUBLE_EQ(
+      expected_cross_rack_blocks(
+          topo_, expected_single_failure_blocks(code_, RecoveryCostModel{})),
+      9.0);
 }
 
 TEST(PlannerLrc, LocalGroupReadCost) {
@@ -514,7 +515,10 @@ TEST(PlannerLrc, LocalGroupReadCost) {
   const auto plan = planner.plan(BlockId{0, 0}, reader, failure, rng);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->size(), 4u);
-  EXPECT_DOUBLE_EQ(planner.expected_cross_rack_blocks(), 0.75 * 4.0);
+  EXPECT_DOUBLE_EQ(
+      expected_cross_rack_blocks(
+          topo, expected_single_failure_blocks(code, RecoveryCostModel{})),
+      0.75 * 4.0);
 }
 
 TEST(PlannerCostModel, SubShardOptionWinsForHitchhiker) {
@@ -544,7 +548,8 @@ TEST(PlannerCostModel, SubShardOptionWinsForHitchhiker) {
   EXPECT_TRUE(any_half);
   // Expectation over all 10 data shards: groups of 4, 3, 3 give
   // (4*7.0 + 6*6.5) / 10.
-  EXPECT_DOUBLE_EQ(planner.expected_single_failure_blocks(), 6.7);
+  EXPECT_DOUBLE_EQ(expected_single_failure_blocks(code, RecoveryCostModel{}),
+                   6.7);
 }
 
 TEST(PlannerCostModel, AllowSubshardFalseForcesFullShards) {
@@ -567,7 +572,7 @@ TEST(PlannerCostModel, AllowSubshardFalseForcesFullShards) {
     EXPECT_DOUBLE_EQ(src.fraction, 1.0);
     EXPECT_EQ(src.substripes, code.full_substripe_mask());
   }
-  EXPECT_DOUBLE_EQ(planner.expected_single_failure_blocks(), 10.0);
+  EXPECT_DOUBLE_EQ(expected_single_failure_blocks(code, cm), 10.0);
 }
 
 TEST(PlannerCostModel, CrossRackWeightSteersOptionChoice) {

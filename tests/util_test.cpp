@@ -6,9 +6,12 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
 #include "dfs/util/args.h"
 #include "dfs/util/epoch.h"
+#include "dfs/util/flat_id_map.h"
 #include "dfs/util/jsonl.h"
 #include "dfs/util/rng.h"
 #include "dfs/util/stale_queue.h"
@@ -420,6 +423,92 @@ TEST(Epoch, StaleCallbackGuardIdiom) {
   e.bump();  // world torn down and rebuilt
   callback();
   EXPECT_EQ(fired, 1);  // neutralized, not re-fired
+}
+
+// --- flat id map -------------------------------------------------------------
+
+/// Sends every key to one of at most four home cells near the table end,
+/// the last cell among them (keys with `key & 3 == 0`), whatever the table
+/// size, so once a few keys are in, probe runs wrap around the table end,
+/// and backward-shift deletion must move entries across it.
+struct ClusteringHash {
+  std::uint64_t operator()(std::uint64_t key) const {
+    return ~std::uint64_t{0} - ((key & 3) << 59);
+  }
+};
+
+/// Random inserts, erases and lookups against std::unordered_map: a growth
+/// phase, a churn phase, then erasing every key. Keys are drawn from
+/// [1, key_range] and scaled by `stride` to reach high bits.
+template <typename Hash>
+void check_flat_id_map(std::uint64_t seed, int key_range,
+                       std::uint64_t stride) {
+  FlatIdMap<Hash> map;
+  std::unordered_map<std::uint64_t, std::uint32_t> ref;
+  Rng rng(seed);
+  const auto key = [&] {
+    return static_cast<std::uint64_t>(rng.uniform_int(1, key_range)) * stride;
+  };
+  const auto agree = [&] {
+    ASSERT_EQ(map.size(), ref.size());
+    for (int k = 1; k <= key_range; ++k) {
+      const std::uint64_t id = static_cast<std::uint64_t>(k) * stride;
+      const std::uint32_t* got = map.find(id);
+      const auto want = ref.find(id);
+      ASSERT_EQ(got != nullptr, want != ref.end()) << "key " << id;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, want->second) << "key " << id;
+      }
+    }
+  };
+  for (int op = 0; op < 6000; ++op) {
+    const int insert_pct = op < 1500 ? 80 : 50;
+    const std::uint64_t id = key();
+    if (rng.uniform_int(0, 99) < insert_pct) {
+      const auto value =
+          static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 30));
+      EXPECT_EQ(map.insert(id, value), ref.emplace(id, value).second);
+    } else {
+      EXPECT_EQ(map.erase(id), ref.erase(id) == 1);
+    }
+    if (op % 250 == 0) agree();
+  }
+  agree();
+  std::vector<std::uint64_t> keys;
+  for (const auto& [id, value] : ref) keys.push_back(id);
+  rng.shuffle(keys);
+  for (const std::uint64_t id : keys) {
+    EXPECT_TRUE(map.erase(id));
+    ref.erase(id);
+    if (ref.size() % 37 == 0) agree();
+  }
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.find(0), nullptr);
+  EXPECT_FALSE(map.erase(stride));
+}
+
+TEST(FlatIdMap, MatchesUnorderedMapWithSequentialIds) {
+  check_flat_id_map<FibonacciIdHash>(11, 900, 1);
+}
+
+TEST(FlatIdMap, MatchesUnorderedMapWithSparseHighIds) {
+  check_flat_id_map<FibonacciIdHash>(12, 900, std::uint64_t{1} << 40);
+}
+
+TEST(FlatIdMap, MatchesUnorderedMapWhenProbeRunsWrapTheTableEnd) {
+  check_flat_id_map<ClusteringHash>(13, 400, 1);
+}
+
+TEST(FlatIdMap, StartsEmptyAndRejectsDuplicates) {
+  FlatIdMap<> map;
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_FALSE(map.erase(7));
+  EXPECT_TRUE(map.insert(7, 1));
+  EXPECT_FALSE(map.insert(7, 2));
+  ASSERT_NE(map.find(7), nullptr);
+  EXPECT_EQ(*map.find(7), 1u);
+  EXPECT_EQ(map.size(), 1u);
 }
 
 // --- args --------------------------------------------------------------------
